@@ -189,11 +189,11 @@ let rmw_tests =
 
 (* --- ablation: §3.4 hint under parked readers ----------------------- *)
 
-let parked_writer ~use_hint =
+let parked_writer policy =
   let readers = 64 in
   let capacity = 16 in
   let reg =
-    Arc_real.create_with ~use_hint ~readers ~capacity
+    Arc_real.create_with policy ~readers ~capacity
       ~init:(stamped ~seq:0 ~len:capacity)
   in
   let handles = Array.init readers (Arc_real.reader reg) in
@@ -210,9 +210,9 @@ let parked_writer ~use_hint =
 let ablation_tests =
   [
     Test.make ~name:"ablation/write-parked64/arc-hint"
-      (Staged.stage (parked_writer ~use_hint:true));
+      (Staged.stage (parked_writer Arc_core.Arc.Fixed));
     Test.make ~name:"ablation/write-parked64/arc-nohint"
-      (Staged.stage (parked_writer ~use_hint:false));
+      (Staged.stage (parked_writer Arc_core.Arc.Fixed_no_hint));
   ]
 
 (* --- mrmw: the (M,N) extension -------------------------------------- *)

@@ -1,5 +1,7 @@
 let algorithm = "arc"
 
+type policy = Fixed | Fixed_no_hint | Sized
+
 (* Named result signature of [Make] (the .mli documents it): lets
    consumers of a register built over a runtime-chosen substrate — a
    first-class [Mem_intf.S] over an mmap'd file — package the functor
@@ -10,7 +12,7 @@ module type S = sig
   val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
   val probe_stamp : t -> int
   val read_plain : reader -> f:(Mem.buffer -> int -> 'a) -> 'a
-  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
+  val create_with : policy -> readers:int -> capacity:int -> init:int array -> t
   val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
   val recover_crash : t -> int
   val quarantine : t -> int -> unit
@@ -25,6 +27,12 @@ module type S = sig
   val coalesced_batches : t -> int
   val coalesced_absorbed : t -> int
   val max_coalesced_batch : t -> int
+  val footprint_words : t -> int
+  val live_buffers : t -> int
+  val reallocations : t -> int
+  val reclaim_stale : t -> lease:int -> int
+  val set_lease : t -> int option -> unit
+  val reclaimed : t -> int
 
   type telemetry
 
@@ -95,7 +103,11 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      per recycle and read once per read, always adjacent in time to
      the content accesses of the same slot. *)
   type slot = {
-    size : M.atomic;  (* words of the snapshot currently in [content] *)
+    size : M.atomic;
+        (* words of the snapshot currently in [content]; -1 is the
+           sized-storage revocation marker: the slot's buffer was
+           reclaimed while a laggard (possibly crashed) reader still
+           pins it *)
     seq : M.atomic;  (* begin stamp: stored {e before} the content copy *)
     seq_end : M.atomic;
         (* end stamp: stored {e after} content and size.  The pair
@@ -105,17 +117,36 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
            overlap with a re-preparation leaves the two unequal, since
            the writer bumps [seq] to the fresh (strictly greater) stamp
            before touching a word of content.  This is what makes the
-           copy-free validated R2' read ([read_plain]) sound. *)
+           copy-free validated R2' read ([read_plain]) sound.  Sized
+           storage swaps buffers strictly inside the bracket (realloc)
+           or under the revocation marker, so a plain scan that
+           validates read one complete write out of one buffer. *)
     r_start : M.atomic;  (* reads started on this slot since its last update *)
     r_end : M.atomic;  (* reads completed on this slot since its last update *)
-    content : M.buffer;
+    mutable content : M.buffer;
+        (* Fixed storage never reassigns it.  Sized storage does, from
+           the writer while the slot is free (published to readers by
+           the exchange on [current], the same happens-before edge as
+           the slot's data) and from [reclaim_stale] while the slot is
+           pinned — exactly the race [acquire]'s size validation
+           resolves. *)
+    mutable superseded_at : int;
+        (* Writer-private: the write count at which this slot was last
+           superseded (W3); -1 while free or published.  Drives the
+           staleness test of [reclaim_stale]. *)
   }
 
   type t = {
     slots : slot array;  (* N + 2, the classical lower bound *)
     current : M.atomic;  (* packed ⟨index, count⟩ — the synchronization word *)
     readers : int;
+    capacity : int;
     use_hint : bool;
+    (* Sized storage (§3.3 note): exact-size slot buffers, regrown or
+       shrunk by writes and revocable by [reclaim_stale].  Fixed
+       storage allocates N + 2 capacity-sized buffers at [create] and
+       never calls [M.alloc] again. *)
+    sized : bool;
     hint : M.atomic;  (* §3.4 free-slot proposal; -1 when empty *)
     (* Crash-recovery journal (ISSUE 3): the index of the slot whose
        supersede-freeze (W3) is in flight, -1 when no write is mid-
@@ -137,6 +168,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
        publish.  Writer-private; a successor resyncs it from the slots
        in [recover_crash] so stamps stay unique across failover. *)
     mutable stamp : int;
+    mutable lease : int option;  (* auto-reclaim period, sized storage only *)
+    mutable reallocations : int;
+    mutable reclaimed : int;
     (* Write-coalescing staging (writer-private, host-heap): the latest
        absorbed snapshot plus the count of absorbed-but-unpublished
        writes.  Publishing the staged value is one ordinary write — one
@@ -168,7 +202,10 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      the cached ones, and the hot hit skips the index unpack, the slot
      array load and the size load.  ABA on the packed word is
      impossible for the same reason: re-publishing the pinned index
-     requires this reader's release first. *)
+     requires this reader's release first.  Sized-storage revocation
+     only touches {e superseded} slots and the cached buffer stays
+     alive through the GC, so the cached view is always intact
+     storage. *)
   type reader = {
     reg : t;
     mutable last_index : int;
@@ -188,7 +225,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       snapshot_read = true;
     }
 
-  let create_with ~use_hint ~readers ~capacity ~init =
+  let create_with policy ~readers ~capacity ~init =
     if readers < 1 then invalid_arg "Arc.create: need at least one reader";
     if readers > Packed.max_readers then
       invalid_arg
@@ -200,7 +237,8 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     let nslots = readers + 2 in
     if nslots - 1 > Packed.max_index then
       invalid_arg "Arc.create: slot count exceeds index field";
-    let fresh_slot () =
+    let sized = policy = Sized in
+    let fresh_slot words =
       let r_start, r_end = M.atomic_contended_pair 0 0 in
       {
         size = M.atomic 0;
@@ -208,10 +246,19 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
         seq_end = M.atomic 0;
         r_start;
         r_end;
-        content = M.alloc capacity;
+        content = M.alloc words;
+        superseded_at = -1;
       }
     in
-    let slots = Array.init nslots (fun _ -> fresh_slot ()) in
+    (* Sized storage pays only for what is stored: the empty slots
+       start with zero-word buffers. *)
+    let slots =
+      Array.init nslots (fun i ->
+          fresh_slot
+            (if not sized then capacity
+             else if i = 0 then Array.length init
+             else 0))
+    in
     (* I1: the initial value lives in slot 0 and [current] starts as
        ⟨index = 0, count = N⟩ — as if every reader had already
        subscribed to slot 0; reader handles start with last_index = 0
@@ -229,7 +276,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
          their own cache lines. *)
       current = M.atomic_contended (Packed.make ~index:0 ~count:readers);
       readers;
-      use_hint;
+      capacity;
+      use_hint = policy <> Fixed_no_hint;
+      sized;
       hint = M.atomic_contended (-1);
       prefreeze = M.atomic (-1);
       quarantined = [];
@@ -237,6 +286,9 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       probes = 0;
       writes = 0;
       stamp = 1;
+      lease = None;
+      reallocations = 0;
+      reclaimed = 0;
       co_buf = Array.make capacity 0;
       co_len = -1;
       co_pending = 0;
@@ -246,7 +298,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       tel = None;
     }
 
-  let create ~readers ~capacity ~init = create_with ~use_hint:true ~readers ~capacity ~init
+  let create ~readers ~capacity ~init = create_with Fixed ~readers ~capacity ~init
 
   let make_telemetry ?(ring = 256) ?(clock = fun () -> 0) ~readers () =
     {
@@ -281,8 +333,72 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   let trace reg =
     match reg.tel with None -> [] | Some tel -> Ring.dump tel.tel_ring
 
+  (* R3 + R4 + R5: release the subscribed slot (posting the §3.4
+     hint) and subscribe to the current one.  Shared by the read miss
+     and the sized-storage revocation-recovery retry. *)
+  let release_and_subscribe rd =
+    let reg = rd.reg in
+    let released = reg.slots.(rd.last_index) in
+    M.incr released.r_end (* R3 *);
+    if reg.use_hint then begin
+      (* §3.4: if this release made the slot reusable, propose it to
+         the writer.  Plain loads/stores suffice: a stale proposal is
+         re-validated by the writer before use. *)
+      let fin = M.load released.r_end in
+      if fin = M.load released.r_start then M.store reg.hint rd.last_index
+    end;
+    let now = M.add_and_fetch reg.current 1 (* R4 *) in
+    (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
+       construction this cannot fire; if the count word is ever
+       corrupted (or force-saturated by a fault campaign), the next
+       increment must not silently carry into the index bits.  A
+       post-increment count of 0 is a wrap that already happened;
+       count = max_count means this increment consumed the last
+       head-room unit above the documented 2^32 - 2 bound.  The typed
+       error and message shape are the repository-wide ones
+       (Arc_util.Saturation = Register_intf.Saturated). *)
+    Arc_util.Saturation.guard_count ~who:"Arc.read" ~bound:Packed.max_readers
+      (Packed.count now);
+    rd.last_index <- Packed.index now (* R5 *);
+    (* Cache the exact word the subscription returned: its index is the
+       slot this reader now pins, so a later exact match can only mean
+       that same publish is still current. *)
+    rd.last_current <- now
+
+  (* Cache the view of the slot this reader is subscribed to.  A fixed
+     slot's buffer never changes, so one size load suffices.  Sized
+     storage checks the revocation marker on both sides of the
+     [content] read: [reclaim_stale] stores size = -1 {e before}
+     swapping the buffer, so [s1 >= 0 && s2 = s1] certifies that no
+     revocation overlapped and [buf] is intact storage.  On a revoked
+     slot the reader releases and re-subscribes — each retry means the
+     register advanced a full lease of writes while this reader sat
+     between R4 and the validation, so retries are vanishingly rare. *)
+  let rec acquire rd =
+    let entry = rd.reg.slots.(rd.last_index) in
+    if not rd.reg.sized then begin
+      rd.view_buf <- entry.content;
+      rd.view_len <- M.load entry.size
+    end
+    else begin
+      let s1 = M.load entry.size in
+      let buf = entry.content in
+      let s2 = M.load entry.size in
+      if s1 >= 0 && s2 = s1 then begin
+        rd.view_buf <- buf;
+        rd.view_len <- s1
+      end
+      else begin
+        release_and_subscribe rd;
+        acquire rd
+      end
+    end
+
   let reader reg i =
-    if i < 0 || i >= reg.readers then invalid_arg "Arc.reader: identity out of range";
+    if i < 0 || i >= reg.readers then
+      invalid_arg
+        (Printf.sprintf "Arc.reader: identity %d out of range [0, %d)" i
+           reg.readers);
     let cells =
       match reg.tel with
       | None -> None
@@ -296,16 +412,23 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
           }
     in
     (* [last_current = -1] never matches a packed word, so the first
-       read revalidates through the index branch and fills the view
-       cache — keeping handle creation free of substrate operations. *)
-    {
-      reg;
-      last_index = 0;
-      last_current = -1;
-      view_buf = reg.slots.(0).content;
-      view_len = 0;
-      cells;
-    }
+       read revalidates through the index branch and, on fixed storage,
+       fills the view cache there — keeping handle creation free of
+       substrate operations.  A sized handle claimed long after
+       creation may find slot 0 already revoked (its I1 presence pins
+       it until this reader's first release), so it validates now. *)
+    let rd =
+      {
+        reg;
+        last_index = 0;
+        last_current = -1;
+        view_buf = reg.slots.(0).content;
+        view_len = 0;
+        cells;
+      }
+    in
+    if reg.sized then acquire rd;
+    rd
 
   (* Algorithm 2.  The fast path (R2) performs a single plain load of
      [current]; only when a newer value was published does the reader
@@ -335,46 +458,21 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       if rd.last_index = index then begin
         (* R2: other readers churned the count but the published slot
            is still ours — refresh the cached word, stay RMW-free.
-           [w]'s index is the pinned slot, so caching it is sound. *)
+           [w]'s index is the pinned slot, so caching it is sound.  A
+           sized handle's view was validated when it subscribed. *)
         (match rd.cells with
         | Some c -> c.fast.Obs.Cell.v <- c.fast.Obs.Cell.v + 1
         | None -> ());
-        rd.last_current <- w
+        rd.last_current <- w;
+        if not reg.sized then acquire rd
       end
       else begin
         (match rd.cells with
         | Some c -> c.slow.Obs.Cell.v <- c.slow.Obs.Cell.v + 1
         | None -> ());
-        let released = reg.slots.(rd.last_index) in
-        M.incr released.r_end (* R3 *);
-        if reg.use_hint then begin
-          (* §3.4: if this release made the slot reusable, propose it to
-             the writer.  Plain loads/stores suffice: a stale proposal is
-             re-validated by the writer before use. *)
-          let fin = M.load released.r_end in
-          if fin = M.load released.r_start then M.store reg.hint rd.last_index
-        end;
-        let now = M.add_and_fetch reg.current 1 (* R4 *) in
-        (* Saturation guard: with count ≤ readers ≤ 2^32 - 2 by
-           construction this cannot fire; if the count word is ever
-           corrupted (or force-saturated by a fault campaign), the next
-           increment must not silently carry into the index bits.  A
-           post-increment count of 0 is a wrap that already happened;
-           count = max_count means this increment consumed the last
-           head-room unit above the documented 2^32 - 2 bound.  The
-           typed error and message shape are the repository-wide ones
-           (Arc_util.Saturation = Register_intf.Saturated, ISSUE 8). *)
-        Arc_util.Saturation.guard_count ~who:"Arc.read"
-          ~bound:Packed.max_readers (Packed.count now);
-        rd.last_index <- Packed.index now (* R5 *);
-        (* Cache the exact word the subscription returned: its index is
-           the slot this reader now pins, so a later exact match can
-           only mean that same publish is still current. *)
-        rd.last_current <- now
+        release_and_subscribe rd;
+        acquire rd
       end;
-      let entry = reg.slots.(rd.last_index) in
-      rd.view_buf <- entry.content;
-      rd.view_len <- M.load entry.size;
       (rd.view_buf, rd.view_len)
     end
 
@@ -548,6 +646,64 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
       scan 1
     end
 
+  (* Sized storage: grow always, shrink only below half to avoid
+     thrashing on small size oscillations. *)
+  let needs_realloc entry len =
+    let cap = M.capacity entry.content in
+    len > cap || len * 2 < cap
+
+  (* Revoke the {e storage} (never the accounting) of slots that have
+     been superseded for more than [lease] writes yet are still
+     pinned — the signature of a crashed or indefinitely paused
+     reader.  The slot stays pinned: presence accounting is what keeps
+     the algorithm wait-free and a crashed reader's pin is permanent
+     by design (Lemma 4.1 tolerates it: N readers pin at most N of the
+     N+2 slots).  What is reclaimed is the buffer, the part whose cost
+     scales with snapshot size.  A paused-but-alive reader keeps its
+     cached view alive through the GC and recovers via [acquire]'s
+     validation on its next subscribe.  Fixed storage has no buffer it
+     could give back without a later [M.alloc], so it refuses. *)
+  let reclaim_stale reg ~lease =
+    if lease < 0 then
+      invalid_arg
+        (Printf.sprintf "Arc.reclaim_stale: lease = %d (need >= 0)" lease);
+    if not reg.sized then
+      invalid_arg "Arc.reclaim_stale: fixed storage is never reclaimed";
+    let reclaimed = ref 0 in
+    Array.iteri
+      (fun j s ->
+        if
+          j <> reg.last_slot
+          && s.superseded_at >= 0
+          && reg.writes - s.superseded_at > lease
+          && M.load s.r_start <> M.load s.r_end
+          && M.load s.size >= 0
+        then begin
+          (* Marker first, swap second: a reader's [acquire] re-reads
+             [size] after reading [content], so it can never validate
+             a view that mixes the old length with the empty buffer. *)
+          M.store s.size (-1);
+          s.content <- M.alloc 0;
+          reg.reclaimed <- reg.reclaimed + 1;
+          incr reclaimed;
+          match reg.tel with
+          | Some tel ->
+            Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_reclaim
+              j (reg.writes - s.superseded_at) 0
+          | None -> ()
+        end)
+      reg.slots;
+    !reclaimed
+
+  let set_lease reg lease =
+    (match lease with
+    | Some l when l < 1 ->
+      invalid_arg (Printf.sprintf "Arc.set_lease: lease = %d (need >= 1)" l)
+    | Some _ when not reg.sized ->
+      invalid_arg "Arc.set_lease: fixed storage is never reclaimed"
+    | _ -> ());
+    reg.lease <- lease
+
   (* Algorithm 3.  [guard] is the epoch-fence hook
      (Register_intf.FENCEABLE): it runs once the slot is fully
      prepared, immediately before the W2 publish.  If it raises, the
@@ -556,6 +712,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
      write reuses it. *)
   let write_guarded reg ~guard ~src ~len =
     if len < 0 || len > Array.length src then invalid_arg "Arc.write: bad length";
+    if len > reg.capacity then invalid_arg "Arc.write: exceeds capacity";
     (* A direct write supersedes anything still staged by
        [write_coalesced]: the staged writes are absorbed into this
        batch (they were older), never resurrected by a later flush. *)
@@ -568,7 +725,6 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     end;
     let slot = find_free reg (* W1 *) in
     let entry = reg.slots.(slot) in
-    if len > M.capacity entry.content then invalid_arg "Arc.write: exceeds capacity";
     (* Stamp the slot {e before} the content copy: strictly increasing
        per writer role, so [probe_stamp] equality certifies an
        unchanged published value (see [probe_stamp]) and an R2' plain
@@ -579,11 +735,27 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
        can ever validate the torn content. *)
     reg.stamp <- reg.stamp + 1;
     M.store entry.seq reg.stamp;
+    if reg.sized && needs_realloc entry len then begin
+      (* The slot is free: no reader presence is accounted on it, so
+         swapping the buffer races with nobody, and readers holding
+         views of the old buffer keep it alive via the GC.  A revoked
+         slot (capacity 0) is regrown here; the size store below
+         clears its -1 marker. *)
+      let old_cap = M.capacity entry.content in
+      entry.content <- M.alloc len;
+      reg.reallocations <- reg.reallocations + 1;
+      match reg.tel with
+      | Some tel ->
+        Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_realloc
+          slot old_cap len
+      | None -> ()
+    end;
     M.write_words entry.content ~src ~len;
     M.store entry.size len;
     M.store entry.seq_end reg.stamp;
     M.store entry.r_start 0;
     M.store entry.r_end 0;
+    entry.superseded_at <- -1;
     (* W1.5: journal the slot about to be superseded.  Its subscriber
        count exists only in [current] until W3 freezes it into
        r_start; if this writer dies in between, a successor's
@@ -605,16 +777,20 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
        r_start; it becomes free again once the laggards' R3 increments
        bring r_end up to this value. *)
     M.store reg.slots.(old_slot).r_start (Packed.count old);
+    reg.slots.(old_slot).superseded_at <- reg.writes;
     reg.last_slot <- slot;
     M.store reg.prefreeze (-1);
     reg.writes <- reg.writes + 1;
-    match reg.tel with
+    (match reg.tel with
     | Some tel ->
       let at = tel.clock () in
       Ring.record tel.tel_ring ~at ~code:Ring.code_publish slot old_slot 0;
       Ring.record tel.tel_ring ~at ~code:Ring.code_freeze old_slot
         (Packed.count old) 0
-    | None -> ()
+    | None -> ());
+    match reg.lease with
+    | Some l when reg.writes mod l = 0 -> ignore (reclaim_stale reg ~lease:l)
+    | _ -> ()
 
   (* Successor-writer recovery (Register_intf.FENCEABLE): quarantine
      the journaled mid-publish slot, if any, and re-establish the
@@ -699,8 +875,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
            max_pending max_staleness);
     if len < 0 || len > Array.length src then
       invalid_arg "Arc.write_coalesced: bad length";
-    if len > Array.length reg.co_buf then
-      invalid_arg "Arc.write_coalesced: exceeds capacity";
+    if len > reg.capacity then invalid_arg "Arc.write_coalesced: exceeds capacity";
     Array.blit src 0 reg.co_buf 0 len;
     reg.co_len <- len;
     reg.co_pending <- reg.co_pending + 1;
@@ -713,6 +888,21 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
   let max_coalesced_batch reg = reg.co_max_batch
   let write_probes reg = reg.probes
   let writes reg = reg.writes
+  let reallocations reg = reg.reallocations
+  let reclaimed reg = reg.reclaimed
+
+  let footprint_words reg =
+    Array.fold_left (fun acc s -> acc + M.capacity s.content) 0 reg.slots
+
+  (* Slots currently holding non-empty storage — the footprint in
+     {e slots} rather than words.  Lemma 4.1 bounds pinned slots by N,
+     so with reclaim active sized storage stays within N + 2 live
+     buffers for the {e admitted} population N however many readers
+     come and go; fixed storage is always at N + 2. *)
+  let live_buffers reg =
+    Array.fold_left
+      (fun acc s -> if M.capacity s.content > 0 then acc + 1 else acc)
+      0 reg.slots
 
   let metrics reg =
     let base =
@@ -724,6 +914,13 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
         Obs.counter "arc_quarantined_slots"
           ~help:"Slots retired by crash recovery or external conviction"
           (List.length reg.quarantined);
+        Obs.counter "arc_reallocations_total"
+          ~help:"Buffer replacements performed by writes" reg.reallocations;
+        Obs.counter "arc_reclaimed_slots_total"
+          ~help:"Stale pinned slots whose storage was revoked" reg.reclaimed;
+        Obs.gauge "arc_footprint_words"
+          ~help:"Words currently allocated across slot buffers"
+          (float_of_int (footprint_words reg));
         Obs.counter "arc_coalesced_batches_total"
           ~help:"Coalesced publishes (one exchange per batch)"
           reg.co_batches;

@@ -25,9 +25,48 @@
     (R3 + R4) otherwise.  Writes perform exactly 1 RMW (W2).
 
     Capacity: up to [2^32 - 2] concurrent readers (the packed count
-    field keeps the paper's full 32 bits) and [2^31 - 1] slots. *)
+    field keeps the paper's full 32 bits) and [2^31 - 1] slots.
+
+    This is the only ARC implementation.  [arc-nohint]
+    ({!Arc_nohint}) and [arc-dynamic] ({!Arc_dynamic}) are the same
+    core created with a different {!policy}. *)
 
 val algorithm : string
+
+(** Storage and §3.4-hint policy, fixed at {!S.create_with}.  The
+    synchronization protocol is identical under all three; only
+    buffer sizing and the free-slot hint differ.
+
+    - [Fixed] — the paper's register: N+2 buffers of [capacity] words
+      allocated by [create], the §3.4 hint on.  No write ever calls
+      [Mem.alloc], so a fixed register fits a pre-sized arena such as
+      a shared-memory mapping.
+    - [Fixed_no_hint] — [Fixed] with the hint disabled: readers never
+      post proposals and every write's free-slot search is a linear
+      scan (O(N) worst case).  The ablation arm of experiment E5.
+    - [Sized] — the §3.3 implementation note: "in any real
+      implementation of our register algorithm, dynamic buffer
+      allocation/release, with each buffer made up by the amount of
+      bytes fitting the size of the register value to be stored upon
+      write operations could be employed."  A write replaces the free
+      target slot's buffer with an exactly-sized one when the new
+      length exceeds it or is under half of it (grow always, shrink
+      with hysteresis); readers still holding a view of the previous
+      buffer keep it alive through the GC.  Empty slots start with
+      zero-word buffers, so N+2 buffers of the {e maximum} size become
+      N+2 buffers near their actual sizes.  Sized storage also
+      supports crash-tolerant storage reclaim ({!S.reclaim_stale}):
+      the storage (never the presence accounting) of a slot
+      superseded more than a lease of writes ago yet still pinned is
+      revoked — its [size] marked [-1], its buffer replaced by an
+      empty one.  Readers validate [size] on both sides of reading the
+      buffer when they subscribe, so a reader racing a revocation
+      releases and re-subscribes instead of returning reclaimed
+      storage.  That retry is the one departure from strict
+      per-operation wait-freedom, and it can only trigger when a
+      reader rests between subscription and validation for an entire
+      lease of writes. *)
+type policy = Fixed | Fixed_no_hint | Sized
 
 (** The full ARC register module — {!Register_intf.ZERO_COPY} and
     {!Register_intf.FENCEABLE} plus the white-box surface.  Named so
@@ -83,10 +122,9 @@ module type S = sig
       must be pure and total on arbitrary word contents, exactly like
       a seqlock read section, and must not retain the buffer. *)
 
-  val create_with : use_hint:bool -> readers:int -> capacity:int -> init:int array -> t
-  (** Like {!create} but choosing whether the §3.4 free-slot hint is
-      used ({!create} enables it).  [use_hint:false] is the ablation
-      arm of experiment E5. *)
+  val create_with : policy -> readers:int -> capacity:int -> init:int array -> t
+  (** Like {!create} (which is [create_with Fixed]) but choosing the
+      storage and hint {!policy}. *)
 
   val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
   (** {!Register_intf.FENCEABLE}: [write] with [guard ()] run between
@@ -165,6 +203,39 @@ module type S = sig
       must never exceed the [max_staleness] passed to the absorbing
       writes. *)
 
+  val footprint_words : t -> int
+  (** Total words currently allocated across all slot buffers:
+      [(N+2)·capacity] for fixed storage. *)
+
+  val live_buffers : t -> int
+  (** Slots currently holding non-empty storage.  With reclaim active
+      this stays within N + 2 for the {e admitted} reader population
+      N, however many readers have come and gone; the churn soak
+      tracks it against the admission gate's capacity. *)
+
+  val reallocations : t -> int
+  (** Buffer replacements performed by writes so far (always 0 for
+      fixed storage). *)
+
+  val reclaim_stale : t -> lease:int -> int
+  (** [reclaim_stale t ~lease] revokes the storage of every slot that
+      was superseded more than [lease] writes ago and is still pinned
+      by reader presence — the signature of a crashed or stalled
+      reader.  Returns the number of slots revoked by this call.
+      Writer-thread only.
+      @raise Invalid_argument if [lease < 0] or the storage is not
+      [Sized]. *)
+
+  val set_lease : t -> int option -> unit
+  (** [set_lease t (Some l)] makes every [l]-th write run
+      [reclaim_stale ~lease:l] automatically; [None] (the default)
+      disables auto-reclaim.  Writer-thread only.
+      @raise Invalid_argument if [l < 1] or the storage is not
+      [Sized]. *)
+
+  val reclaimed : t -> int
+  (** Total slots whose storage has been revoked so far. *)
+
   (** {2 Telemetry (ISSUE 5)}
 
       Always-on wait-free observability.  All counters are host-heap
@@ -214,7 +285,8 @@ module type S = sig
       fallback itself). *)
 
   val metrics : t -> Arc_obs.Obs.metric list
-  (** Register counters (writes, probes, quarantined) plus — when
+  (** Register counters (writes, probes, quarantined, storage
+      reallocations, reclaims and footprint, coalescing) plus — when
       telemetry is attached — per-reader fast/slow read counters, hint
       hits and trace-ring depth, ready for
       {!Arc_obs.Obs.prometheus}/{!Arc_obs.Obs.json}. *)

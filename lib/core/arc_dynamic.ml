@@ -1,729 +1,10 @@
 let algorithm = "arc-dynamic"
 
-module Packed = Arc_util.Packed
-
 module Make (M : Arc_mem.Mem_intf.S) = struct
-  module Mem = M
-  module Obs = Arc_obs.Obs
-  module Ring = Arc_obs.Ring
-
-  (* Telemetry — same host-heap design as {!Arc.Make}: plain
-     single-writer cells outside the substrate, so recording adds no
-     substrate operations and no vsched scheduling points. *)
-  type telemetry = {
-    fast_hits : Obs.Group.t;
-    slow_cells : Obs.Group.t;
-    plain_cells : Obs.Group.t;  (* validated R2' plain reads *)
-    pfall_cells : Obs.Group.t;  (* R2' stamp-mismatch fallbacks *)
-    hint_cell : Obs.Cell.t;
-    tel_ring : Ring.t;
-    clock : unit -> int;
-  }
-
-  type slot = {
-    size : M.atomic;
-        (* words of the snapshot in [content]; -1 is the revocation
-           marker: the slot's storage was reclaimed while a laggard
-           (possibly crashed) reader still pins it *)
-    seq : M.atomic;  (* begin stamp: stored before buffer swap and copy *)
-    seq_end : M.atomic;
-        (* end stamp: stored once content and size are complete — the
-           R2' validation bracket, see {!Arc.Make}.  Buffer swaps
-           (realloc, revocation) happen strictly inside a bracket or
-           under the revocation marker, so a plain scan that validates
-           read one complete write out of one buffer. *)
-    r_start : M.atomic;
-    r_end : M.atomic;
-    mutable content : M.buffer;
-        (* Written by the writer while the slot is free (published to
-           readers by the exchange on [current], the same
-           happens-before edge as the slot's data) — and by
-           [reclaim_stale] while the slot is pinned, which is exactly
-           the race the size-validation handshake in [acquire]
-           resolves. *)
-    mutable superseded_at : int;
-        (* Writer-private: the write count at which this slot was last
-           superseded (W3); -1 while free or published.  Drives the
-           staleness test of [reclaim_stale]. *)
-  }
-
-  type t = {
-    slots : slot array;
-    current : M.atomic;
-    readers : int;
-    capacity : int;
-    hint : M.atomic;
-    (* Crash-recovery journal + quarantine: see Arc.  [prefreeze]
-       names the slot whose supersede-freeze is in flight; a successor
-       writer quarantines it via [recover_crash]. *)
-    prefreeze : M.atomic;
-    mutable quarantined : int list;
-    mutable last_slot : int;
-    mutable lease : int option;
-    mutable reallocations : int;
-    mutable reclaimed : int;
-    mutable writes : int;
-    (* Publish-stamp counter (Register_intf.STAMPED) — see Arc. *)
-    mutable stamp : int;
-    (* Write-coalescing staging — see Arc. *)
-    co_buf : int array;
-    mutable co_len : int;
-    mutable co_pending : int;
-    mutable co_batches : int;
-    mutable co_absorbed : int;
-    mutable co_max_batch : int;
-    mutable tel : telemetry option;
-  }
-
-  (* Readers cache the validated (buffer, length) view at subscribe
-     time.  A slot can only be revoked after it was superseded, and a
-     subscribed reader took its view while the slot was current (or
-     validated it against the revocation marker), so the cache always
-     points at intact storage — storage reclaim is invisible to
-     already-subscribed readers, whose cached buffer stays alive
-     through the GC. *)
-  type rcells = {
-    fast : Obs.Cell.t;
-    slow : Obs.Cell.t;
-    plain : Obs.Cell.t;
-    pfall : Obs.Cell.t;
-  }
-
-  (* [last_current] caches the packed word observed at the last
-     (re)subscription — an exact match certifies the cached view is
-     still the published value (the pinned slot can never be
-     republished, and revocation only touches {e superseded} slots, so
-     a slot that is still current holds intact storage); see
-     {!Arc.Make.reader}. *)
-  type reader = {
-    reg : t;
-    mutable last_index : int;
-    mutable last_current : int;
-    mutable view_buf : M.buffer;
-    mutable view_len : int;
-    cells : rcells option;
-  }
+  include Arc.Make (M)
 
   let algorithm = algorithm
 
-  let caps =
-    {
-      Register_intf.wait_free = true;
-      zero_copy = true;
-      max_readers = (fun ~capacity_words:_ -> Some Packed.max_readers);
-      snapshot_read = true;
-    }
-
   let create ~readers ~capacity ~init =
-    if readers < 1 then invalid_arg "Arc_dynamic.create: need at least one reader";
-    if readers > Packed.max_readers then
-      invalid_arg
-        (Printf.sprintf
-           "Arc_dynamic.create: readers = %d exceed the 2^32 - 2 capacity"
-           readers);
-    if capacity < 1 then invalid_arg "Arc_dynamic.create: capacity must be positive";
-    if Array.length init > capacity then
-      invalid_arg "Arc_dynamic.create: init longer than capacity";
-    let nslots = readers + 2 in
-    if nslots - 1 > Packed.max_index then
-      invalid_arg "Arc_dynamic.create: slot count exceeds index field";
-    let fresh_slot words =
-      let r_start, r_end = M.atomic_contended_pair 0 0 in
-      {
-        size = M.atomic 0;
-        seq = M.atomic 0;
-        seq_end = M.atomic 0;
-        r_start;
-        r_end;
-        content = M.alloc words;
-        superseded_at = -1;
-      }
-    in
-    (* Empty slots start with zero-word buffers: the whole point of
-       the dynamic variant is paying only for what is stored. *)
-    let slots =
-      Array.init nslots (fun i -> fresh_slot (if i = 0 then Array.length init else 0))
-    in
-    M.write_words slots.(0).content ~src:init ~len:(Array.length init);
-    M.store slots.(0).size (Array.length init);
-    M.store slots.(0).seq 1;
-    M.store slots.(0).seq_end 1;
-    {
-      slots;
-      current = M.atomic_contended (Packed.make ~index:0 ~count:readers);
-      readers;
-      capacity;
-      hint = M.atomic_contended (-1);
-      prefreeze = M.atomic (-1);
-      quarantined = [];
-      last_slot = 0;
-      lease = None;
-      reallocations = 0;
-      reclaimed = 0;
-      writes = 0;
-      stamp = 1;
-      co_buf = Array.make capacity 0;
-      co_len = -1;
-      co_pending = 0;
-      co_batches = 0;
-      co_absorbed = 0;
-      co_max_batch = 0;
-      tel = None;
-    }
-
-  let make_telemetry ?(ring = 256) ?(clock = fun () -> 0) ~readers () =
-    {
-      fast_hits =
-        Obs.Group.create ~name:"arc_reads_fast_total"
-          ~help:"Reads served on the RMW-free fast path (R2)" readers;
-      slow_cells =
-        Obs.Group.create ~name:"arc_reads_slow_total"
-          ~help:"Reads that paid the R3+R4 RMW pair" readers;
-      plain_cells =
-        Obs.Group.create ~name:"arc_reads_plain_total"
-          ~help:"Validated copy-free plain-load reads (R2')" readers;
-      pfall_cells =
-        Obs.Group.create ~name:"arc_reads_plain_fallback_total"
-          ~help:"R2' stamp mismatches that fell back to the classic path"
-          readers;
-      hint_cell = Obs.Cell.create ();
-      tel_ring = Ring.create ring;
-      clock;
-    }
-
-  let set_telemetry reg tel = reg.tel <- tel
-  let telemetry reg = reg.tel
-  let fast_reads tel = Obs.Group.value tel.fast_hits
-  let slow_reads tel = Obs.Group.value tel.slow_cells
-  let plain_reads tel = Obs.Group.value tel.plain_cells
-  let plain_fallbacks tel = Obs.Group.value tel.pfall_cells
-  let hint_hits tel = Obs.Cell.get tel.hint_cell
-
-  let trace reg =
-    match reg.tel with None -> [] | Some tel -> Ring.dump tel.tel_ring
-
-  (* Post-increment presence check — the same typed error and message
-     shape as Arc's and Packed's guards (Arc_util.Saturation =
-     Register_intf.Saturated, ISSUE 8). *)
-  let saturation_guard now =
-    Arc_util.Saturation.guard_count ~who:"Arc_dynamic.read"
-      ~bound:Packed.max_readers (Packed.count now)
-
-  (* R3 + R4: release the subscribed slot (posting the §3.4 hint) and
-     subscribe to the current one.  Shared by the normal slow path and
-     the revocation-recovery retry. *)
-  let release_and_subscribe rd =
-    let reg = rd.reg in
-    let released = reg.slots.(rd.last_index) in
-    M.incr released.r_end;
-    let fin = M.load released.r_end in
-    if fin = M.load released.r_start then M.store reg.hint rd.last_index;
-    let now = M.add_and_fetch reg.current 1 in
-    saturation_guard now;
-    rd.last_index <- Packed.index now;
-    (* Cache the exact subscription word — see {!Arc.Make.read_view}. *)
-    rd.last_current <- now
-
-  (* Validate-and-cache the view of the slot the reader is subscribed
-     to.  The revocation marker is checked on both sides of the
-     [content] read: [reclaim_stale] stores size = -1 {e before}
-     swapping the buffer, so [s1 >= 0 && s2 = s1] certifies that no
-     revocation overlapped the two loads and [buf] is the intact
-     storage.  On a revoked slot the reader recovers by releasing and
-     re-subscribing — each retry means the register advanced at least
-     a full lease of writes while this reader was between R4 and the
-     validation, so retries are vanishingly rare and the path degrades
-     gracefully rather than returning reclaimed storage. *)
-  let rec acquire rd =
-    let entry = rd.reg.slots.(rd.last_index) in
-    let s1 = M.load entry.size in
-    let buf = entry.content in
-    let s2 = M.load entry.size in
-    if s1 >= 0 && s2 = s1 then begin
-      rd.view_buf <- buf;
-      rd.view_len <- s1
-    end
-    else begin
-      release_and_subscribe rd;
-      acquire rd
-    end
-
-  let reader reg i =
-    if i < 0 || i >= reg.readers then
-      invalid_arg
-        (Printf.sprintf
-           "Arc_dynamic.reader: identity %d out of range [0, %d)" i reg.readers);
-    let cells =
-      match reg.tel with
-      | None -> None
-      | Some tel ->
-        Some
-          {
-            fast = Obs.Group.cell tel.fast_hits i;
-            slow = Obs.Group.cell tel.slow_cells i;
-            plain = Obs.Group.cell tel.plain_cells i;
-            pfall = Obs.Group.cell tel.pfall_cells i;
-          }
-    in
-    let rd =
-      {
-        reg;
-        last_index = 0;
-        last_current = -1;
-        view_buf = reg.slots.(0).content;
-        view_len = -1;
-        cells;
-      }
-    in
-    (* A handle claimed long after creation may find slot 0 already
-       revoked (its presence from I1 pins it until this reader's first
-       release); acquire validates and recovers either way. *)
-    acquire rd;
-    rd
-
-  let read_view rd =
-    let reg = rd.reg in
-    let w = M.load reg.current (* R1 *) in
-    if w = rd.last_current then begin
-      (* R2 hot hit: exact packed-word match, cached view returned
-         with no further memory traffic — see {!Arc.Make.read_view}. *)
-      match rd.cells with
-      | Some c -> c.fast.Obs.Cell.v <- c.fast.Obs.Cell.v + 1
-      | None -> ()
-    end
-    else begin
-      let index = Packed.index w in
-      if rd.last_index = index then begin
-        (* R2: count churn only — still RMW-free; refresh the word. *)
-        (match rd.cells with
-        | Some c -> c.fast.Obs.Cell.v <- c.fast.Obs.Cell.v + 1
-        | None -> ());
-        rd.last_current <- w
-      end
-      else begin
-        (match rd.cells with
-        | Some c -> c.slow.Obs.Cell.v <- c.slow.Obs.Cell.v + 1
-        | None -> ());
-        release_and_subscribe rd (* R3-R5 *);
-        acquire rd
-      end
-    end;
-    (rd.view_buf, rd.view_len)
-
-  let read_with rd ~f =
-    let buffer, len = read_view rd in
-    f buffer len
-
-  (* Register_intf.STAMPED — see Arc.  The subscribed slot is pinned,
-     so its [seq] cannot be recycled out from under the cached view;
-     storage revocation swaps [content] but never touches [seq], and
-     the cached view and the stamp still describe the same write. *)
-  let read_stamped rd ~f =
-    let buffer, len = read_view rd in
-    let stamp = M.load rd.reg.slots.(rd.last_index).seq in
-    (stamp, f buffer len)
-
-  let probe_stamp reg =
-    let index = Packed.index (M.load reg.current) in
-    M.load reg.slots.(index).seq
-
-  (* R2' — see {!Arc.Make.read_plain} for the soundness argument.  The
-     dynamic wrinkle is the mutable buffer: the scan captures
-     [entry.content] once and bounds-checks the loaded size against
-     the {e captured} buffer, so a realloc or revocation racing the
-     scan can at worst fail validation, never index out of bounds.
-     The writer swaps buffers only after storing the fresh begin
-     stamp, so a captured-buffer/new-content mix always leaves
-     [seq <> seq_end] visible to the validation. *)
-  let read_plain_validated rd w ~f =
-    let reg = rd.reg in
-    let index = Packed.index w in
-    let entry = reg.slots.(index) in
-    let e1 = M.load entry.seq_end in
-    let len = M.load entry.size in
-    let buf = entry.content in
-    if len >= 0 && len <= M.capacity buf && M.load entry.seq = e1 then begin
-      let r = f buf len in
-      if
-        M.load entry.seq = e1
-        && Packed.index (M.load reg.current) = index
-      then begin
-        (match rd.cells with
-        | Some c -> c.plain.Obs.Cell.v <- c.plain.Obs.Cell.v + 1
-        | None -> ());
-        r
-      end
-      else begin
-        (match rd.cells with
-        | Some c -> c.pfall.Obs.Cell.v <- c.pfall.Obs.Cell.v + 1
-        | None -> ());
-        read_with rd ~f
-      end
-    end
-    else begin
-      (match rd.cells with
-      | Some c -> c.pfall.Obs.Cell.v <- c.pfall.Obs.Cell.v + 1
-      | None -> ());
-      read_with rd ~f
-    end
-
-  let read_plain rd ~f =
-    let reg = rd.reg in
-    let w = M.load reg.current in
-    if w = rd.last_current then begin
-      (* Pinned hot hit, same argument as [read_view] — and revocation
-         cannot touch the cached buffer either, since the slot behind
-         an unchanged packed word is current, not superseded. *)
-      (match rd.cells with
-      | Some c -> c.plain.Obs.Cell.v <- c.plain.Obs.Cell.v + 1
-      | None -> ());
-      f rd.view_buf rd.view_len
-    end
-    else read_plain_validated rd w ~f
-
-  let read_into rd ~dst =
-    read_with rd ~f:(fun buffer len ->
-        if Array.length dst < len then
-          invalid_arg "Arc_dynamic.read_into: dst too short";
-        M.read_words buffer ~dst ~len;
-        len)
-
-  (* See Arc.slot_free: [last_slot] excludes the current slot (its
-     subscribers live in [current]'s count, not r_start/r_end);
-     [recover_crash] re-establishes that invariant for a successor
-     writer, and quarantined slots stay retired. *)
-  let slot_free reg j =
-    j <> reg.last_slot
-    && (not (List.memq j reg.quarantined))
-    && M.load reg.slots.(j).r_start = M.load reg.slots.(j).r_end
-
-  let find_free reg =
-    let proposal =
-      let h = M.load reg.hint in
-      if h >= 0 then M.store reg.hint (-1);
-      h
-    in
-    if proposal >= 0 && proposal < Array.length reg.slots && slot_free reg proposal
-    then begin
-      (match reg.tel with
-      | Some tel -> Obs.Cell.incr tel.hint_cell
-      | None -> ());
-      proposal
-    end
-    else begin
-      let n = Array.length reg.slots in
-      let rec scan step =
-        if step > n then failwith "Arc_dynamic.write: no free slot (invariant violated)"
-        else begin
-          let j = (reg.last_slot + step) mod n in
-          M.cede ();
-          if slot_free reg j then j else scan (step + 1)
-        end
-      in
-      scan 1
-    end
-
-  (* Grow always; shrink only below half to avoid thrashing on
-     small size oscillations. *)
-  let needs_realloc entry len =
-    let cap = M.capacity entry.content in
-    len > cap || len * 2 < cap
-
-  (* Revoke the {e storage} (never the accounting) of slots that have
-     been superseded for more than [lease] writes yet are still
-     pinned — the signature of a crashed or indefinitely paused
-     reader.  The slot stays pinned: presence accounting is what keeps
-     the algorithm wait-free and a crashed reader's pin is permanent
-     by design (Lemma 4.1 tolerates it: N readers pin at most N of the
-     N+2 slots).  What is reclaimed is the buffer, which for the
-     dynamic variant is the part whose cost scales with snapshot size.
-     A paused-but-alive reader keeps its cached view alive through the
-     GC and recovers via [acquire]'s validation on its next
-     subscribe. *)
-  let reclaim_stale reg ~lease =
-    if lease < 0 then
-      invalid_arg
-        (Printf.sprintf "Arc_dynamic.reclaim_stale: lease = %d (need >= 0)" lease);
-    let reclaimed = ref 0 in
-    Array.iteri
-      (fun j s ->
-        if
-          j <> reg.last_slot
-          && s.superseded_at >= 0
-          && reg.writes - s.superseded_at > lease
-          && M.load s.r_start <> M.load s.r_end
-          && M.load s.size >= 0
-        then begin
-          (* Marker first, swap second: a reader's [acquire] re-reads
-             [size] after reading [content], so it can never validate
-             a view that mixes the old length with the empty buffer. *)
-          M.store s.size (-1);
-          s.content <- M.alloc 0;
-          reg.reclaimed <- reg.reclaimed + 1;
-          incr reclaimed;
-          match reg.tel with
-          | Some tel ->
-            Ring.record tel.tel_ring ~at:(tel.clock ())
-              ~code:Ring.code_reclaim j
-              (reg.writes - s.superseded_at)
-              0
-          | None -> ()
-        end)
-      reg.slots;
-    !reclaimed
-
-  let set_lease reg lease =
-    (match lease with
-    | Some l when l < 1 ->
-      invalid_arg
-        (Printf.sprintf "Arc_dynamic.set_lease: lease = %d (need >= 1)" l)
-    | _ -> ());
-    reg.lease <- lease
-
-  (* [guard] is the epoch-fence hook (Register_intf.FENCEABLE), run
-     after the slot is prepared and immediately before the publish —
-     see Arc.write_guarded.  An aborted write leaves the free slot
-     with counters 0/0 and a valid (non-negative) size, so a later
-     write or an I1-laggard's acquire treats it normally. *)
-  let write_guarded reg ~guard ~src ~len =
-    if len < 0 || len > Array.length src then invalid_arg "Arc_dynamic.write: bad length";
-    if len > reg.capacity then invalid_arg "Arc_dynamic.write: exceeds capacity";
-    (* A direct write supersedes anything staged by [write_coalesced] —
-       see {!Arc.Make.write_guarded}. *)
-    if reg.co_pending > 0 then begin
-      let batch = reg.co_pending + 1 in
-      reg.co_pending <- 0;
-      reg.co_len <- -1;
-      reg.co_batches <- reg.co_batches + 1;
-      if batch > reg.co_max_batch then reg.co_max_batch <- batch
-    end;
-    let slot = find_free reg in
-    let entry = reg.slots.(slot) in
-    (* Begin stamp before any content mutation — buffer swap included —
-       so an R2' scan overlapping this preparation can never validate
-       (see {!Arc.Make.write_guarded}). *)
-    reg.stamp <- reg.stamp + 1;
-    M.store entry.seq reg.stamp;
-    if needs_realloc entry len then begin
-      (* The slot is free: no reader presence is accounted on it, so
-         swapping the buffer races with nobody.  Readers holding views
-         of the old buffer keep it alive via the GC.  A revoked slot
-         (capacity 0) is regrown here, which also clears its -1
-         marker via the size store below. *)
-      let old_cap = M.capacity entry.content in
-      entry.content <- M.alloc len;
-      reg.reallocations <- reg.reallocations + 1;
-      match reg.tel with
-      | Some tel ->
-        Ring.record tel.tel_ring ~at:(tel.clock ()) ~code:Ring.code_realloc
-          slot old_cap len
-      | None -> ()
-    end;
-    M.write_words entry.content ~src ~len;
-    M.store entry.size len;
-    M.store entry.seq_end reg.stamp;
-    M.store entry.r_start 0;
-    M.store entry.r_end 0;
-    entry.superseded_at <- -1;
-    (* W1.5 crash journal — see Arc.write_guarded. *)
-    M.store reg.prefreeze reg.last_slot;
-    (try guard ()
-     with e ->
-       M.store reg.prefreeze (-1);
-       raise e);
-    let old = M.exchange reg.current (Packed.of_index slot) in
-    let old_slot = Packed.index old in
-    M.store reg.slots.(old_slot).r_start (Packed.count old);
-    reg.slots.(old_slot).superseded_at <- reg.writes;
-    reg.last_slot <- slot;
-    M.store reg.prefreeze (-1);
-    reg.writes <- reg.writes + 1;
-    (match reg.tel with
-    | Some tel ->
-      let at = tel.clock () in
-      Ring.record tel.tel_ring ~at ~code:Ring.code_publish slot old_slot 0;
-      Ring.record tel.tel_ring ~at ~code:Ring.code_freeze old_slot
-        (Packed.count old) 0
-    | None -> ());
-    match reg.lease with
-    | Some l when reg.writes mod l = 0 -> ignore (reclaim_stale reg ~lease:l)
-    | _ -> ()
-
-  let write reg ~src ~len = write_guarded reg ~guard:ignore ~src ~len
-
-  (* Write coalescing — see {!Arc.Make}. *)
-  let flush_coalesced reg =
-    if reg.co_pending > 0 then begin
-      let batch = reg.co_pending and len = reg.co_len in
-      reg.co_pending <- 0;
-      reg.co_len <- -1;
-      reg.co_batches <- reg.co_batches + 1;
-      if batch > reg.co_max_batch then reg.co_max_batch <- batch;
-      write reg ~src:reg.co_buf ~len
-    end
-
-  let write_coalesced reg ~max_pending ~max_staleness ~src ~len =
-    if max_pending < 1 then
-      invalid_arg
-        (Printf.sprintf "Arc_dynamic.write_coalesced: max_pending = %d (need >= 1)"
-           max_pending);
-    if max_staleness < max_pending then
-      invalid_arg
-        (Printf.sprintf
-           "Arc_dynamic.write_coalesced: max_pending = %d exceeds max_staleness = %d"
-           max_pending max_staleness);
-    if len < 0 || len > Array.length src then
-      invalid_arg "Arc_dynamic.write_coalesced: bad length";
-    if len > reg.capacity then
-      invalid_arg "Arc_dynamic.write_coalesced: exceeds capacity";
-    Array.blit src 0 reg.co_buf 0 len;
-    reg.co_len <- len;
-    reg.co_pending <- reg.co_pending + 1;
-    reg.co_absorbed <- reg.co_absorbed + 1;
-    if reg.co_pending >= max_pending then flush_coalesced reg
-
-  let pending_writes reg = reg.co_pending
-  let coalesced_batches reg = reg.co_batches
-  let coalesced_absorbed reg = reg.co_absorbed
-  let max_coalesced_batch reg = reg.co_max_batch
-
-  (* Successor-writer recovery — see Arc.recover_crash. *)
-  let recover_crash reg =
-    let j = M.load reg.prefreeze in
-    reg.last_slot <- Packed.index (M.load reg.current);
-    (* Stamp resync across writer succession — see Arc.recover_crash. *)
-    Array.iter (fun s -> reg.stamp <- max reg.stamp (M.load s.seq)) reg.slots;
-    if j >= 0 then begin
-      M.store reg.prefreeze (-1);
-      if List.memq j reg.quarantined then 0
-      else begin
-        reg.quarantined <- j :: reg.quarantined;
-        1
-      end
-    end
-    else 0
-
-  (* External-evidence quarantine — see Arc.quarantine. *)
-  let quarantine reg j =
-    if j < 0 || j >= Array.length reg.slots then
-      invalid_arg
-        (Printf.sprintf "Arc_dynamic.quarantine: slot %d out of range [0, %d)" j
-           (Array.length reg.slots));
-    if not (List.memq j reg.quarantined) then
-      reg.quarantined <- j :: reg.quarantined
-
-  let footprint_words reg =
-    Array.fold_left (fun acc s -> acc + M.capacity s.content) 0 reg.slots
-
-  let reallocations reg = reg.reallocations
-  let reclaimed reg = reg.reclaimed
-
-  let metrics reg =
-    let base =
-      [
-        Obs.counter "arc_writes_total" ~help:"Completed register writes"
-          reg.writes;
-        Obs.counter "arc_reallocations_total"
-          ~help:"Buffer replacements performed by writes" reg.reallocations;
-        Obs.counter "arc_reclaimed_slots_total"
-          ~help:"Stale pinned slots whose storage was revoked" reg.reclaimed;
-        Obs.gauge "arc_footprint_words"
-          ~help:"Words currently allocated across slot buffers"
-          (float_of_int (footprint_words reg));
-        Obs.counter "arc_coalesced_batches_total"
-          ~help:"Coalesced publishes (one exchange per batch)"
-          reg.co_batches;
-        Obs.counter "arc_coalesced_writes_total"
-          ~help:"Writes absorbed into coalescing batches" reg.co_absorbed;
-        Obs.gauge "arc_coalesced_max_batch"
-          ~help:"Largest coalesced batch published so far"
-          (float_of_int reg.co_max_batch);
-      ]
-    in
-    match reg.tel with
-    | None -> base
-    | Some tel ->
-      let per_reader group =
-        Array.to_list
-          (Array.mapi
-             (fun i v ->
-               Obs.counter (Obs.Group.name group)
-                 ~labels:[ ("reader", string_of_int i) ]
-                 ~help:(Obs.Group.help group) v)
-             (Obs.Group.per_domain group))
-      in
-      per_reader tel.fast_hits
-      @ per_reader tel.slow_cells
-      @ per_reader tel.plain_cells
-      @ per_reader tel.pfall_cells
-      @ Obs.counter "arc_hint_hits_total"
-          ~help:"§3.4 free-slot proposals accepted by the writer"
-          (Obs.Cell.get tel.hint_cell)
-        :: Obs.counter "arc_trace_events_total"
-             ~help:"Slot-state transitions recorded in the trace ring"
-             (Ring.recorded tel.tel_ring)
-        :: base
-
-  (* Slots currently holding non-empty storage — the dynamic variant's
-     footprint in {e slots} rather than words.  The paper's Lemma 4.1
-     bounds pinned slots by N, so with reclaim active the live-buffer
-     count must stay within N + 2 for the {e admitted} population N —
-     the churn soak tracks this against the gate capacity even as the
-     arrival population grows unboundedly. *)
-  let live_buffers reg =
-    Array.fold_left
-      (fun acc s -> if M.capacity s.content > 0 then acc + 1 else acc)
-      0 reg.slots
-
-  (* Same white-box surface as {!Arc.Make.Debug} — the invariant
-     auditors (soak presence audit, gate-bypass control) are written
-     against it. *)
-  module Debug = struct
-    let slots reg = Array.length reg.slots
-    let current reg = M.load reg.current
-    let r_start reg j = M.load reg.slots.(j).r_start
-    let r_end reg j = M.load reg.slots.(j).r_end
-    let slot_size reg j = M.load reg.slots.(j).size
-    let slot_seq reg j = M.load reg.slots.(j).seq
-    let slot_seq_end reg j = M.load reg.slots.(j).seq_end
-
-    (* Negative control for the R2' tests — see {!Arc.Make.Debug}. *)
-    let unvalidated_plain rd ~f =
-      let reg = rd.reg in
-      let index = Packed.index (M.load reg.current) in
-      let entry = reg.slots.(index) in
-      let len = M.load entry.size in
-      let buf = entry.content in
-      let len = if len < 0 || len > M.capacity buf then 0 else len in
-      f buf len
-
-    (* readers − (Σ_j (r_start j − r_end j) + count current); see
-       Arc.Debug.presence_slack for the ledger argument. *)
-    let presence_slack reg =
-      let frozen = ref 0 in
-      Array.iter
-        (fun s -> frozen := !frozen + (M.load s.r_start - M.load s.r_end))
-        reg.slots;
-      reg.readers - (!frozen + Packed.count (M.load reg.current))
-
-    let presence_bound_holds reg = presence_slack reg = 0
-
-    (* Test-only: overwrite the synchronization word, e.g. to place
-       the count at the saturation boundary. *)
-    let force_current reg w = M.store reg.current w
-
-    let free_slot_exists reg =
-      let published = Packed.index (M.load reg.current) in
-      let n = Array.length reg.slots in
-      let rec go j =
-        if j >= n then false
-        else if
-          j <> published
-          && (not (List.memq j reg.quarantined))
-          && M.load reg.slots.(j).r_start = M.load reg.slots.(j).r_end
-        then true
-        else go (j + 1)
-      in
-      go 0
-  end
+    create_with Arc.Sized ~readers ~capacity ~init
 end

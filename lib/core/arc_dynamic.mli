@@ -1,178 +1,9 @@
-(** ARC with dynamic per-write buffer sizing — the §3.3 implementation
-    note made concrete: "in any real implementation of our register
-    algorithm, dynamic buffer allocation/release, with each buffer
-    made up by the amount of bytes fitting the size of the register
-    value to be stored upon write operations could be employed."
-
-    Identical synchronization to {!Arc}; the only difference is buffer
-    management: a write replaces the target slot's buffer with an
-    exactly-sized fresh one when the new length exceeds the buffer or
-    is under half of it (grow always, shrink with hysteresis).  This
-    is safe precisely because the slot is free — no standing readers —
-    when rewritten, and, an OCaml dividend, a reader still holding a
-    view of the slot's {e previous} buffer keeps that buffer alive
-    through the GC: the explicit reclamation a C implementation would
-    need here comes for free.
-
-    Worth its footprint when snapshot sizes vary wildly: N+2 buffers
-    of the {e maximum} size become N+2 buffers near their actual
-    sizes.  {!footprint_words} exposes the current total for the
-    memory experiments.
-
-    {b Crash-tolerant storage reclaim (ISSUE 2).}  A crashed (or
-    indefinitely paused) reader pins its subscribed slot forever; the
-    algorithm tolerates that — Lemma 4.1's free-slot guarantee only
-    needs 2 spare slots — but in the dynamic variant the pinned slot
-    may hold an arbitrarily large buffer.  {!reclaim_stale} lets the
-    writer revoke the {e storage} (never the presence accounting) of
-    slots superseded more than a lease of writes ago yet still
-    pinned: the slot's [size] is marked [-1] and its buffer replaced
-    by an empty one, making the old buffer reclaimable by the GC as
-    soon as no live reader view references it.  Readers validate
-    [size] on both sides of reading [content] when they subscribe, so
-    a reader racing a revocation releases and re-subscribes instead
-    of returning reclaimed storage; readers already holding a
-    validated cached view are unaffected (their buffer stays
-    GC-alive).  The recovery retry is the one documented departure
-    from strict per-operation wait-freedom, and it can only trigger
-    when a reader rests between subscription and validation for an
-    entire lease of writes. *)
+(** ARC with exactly-sized, reclaimable slot buffers — the §3.3
+    implementation note: {!Arc.Make} created with {!Arc.Sized}.
+    Identical synchronization to {!Arc}; see {!Arc.policy} for the
+    buffer management, and {!Arc.S.reclaim_stale} / {!Arc.S.set_lease}
+    for the crash-tolerant storage reclaim. *)
 
 val algorithm : string
 
-module Make (M : Arc_mem.Mem_intf.S) : sig
-  include Register_intf.ZERO_COPY with module Mem = M
-  (** [read_view]: zero-copy view, stable until this reader's next
-      read, exactly as in {!Arc}. *)
-
-  val write_guarded : t -> guard:(unit -> unit) -> src:int array -> len:int -> unit
-  (** {!Register_intf.FENCEABLE}: [write] with [guard ()] run between
-      slot preparation and the publish exchange; a raising guard
-      aborts the write with nothing published.  See {!Arc.Make}. *)
-
-  val recover_crash : t -> int
-  (** {!Register_intf.FENCEABLE}: successor-writer recovery after a
-      failover — quarantine the slot whose supersede-freeze the
-      crashed predecessor left in flight.  See {!Arc.Make}. *)
-
-  val quarantine : t -> int -> unit
-  (** {!Register_intf.FENCEABLE}: retire a slot convicted by evidence
-      outside the register's own journal (e.g. an integrity layer's
-      checksum scan).  Idempotent; writer-role only.  See
-      {!Arc.Make}. *)
-
-  val read_stamped : reader -> f:(Mem.buffer -> int -> 'a) -> int * 'a
-  val probe_stamp : t -> int
-  (** {!Register_intf.STAMPED}: see {!Arc.Make}.  Storage revocation
-      ({!reclaim_stale}) never touches a slot's stamp word, so a
-      pinned reader's cached view and its stamp always describe the
-      same write. *)
-
-  val read_plain : reader -> f:(Mem.buffer -> int -> 'a) -> 'a
-  (** R2' validated plain-load read — see {!Arc.Make.S.read_plain}.
-      The scan captures the slot's buffer once and bounds-checks the
-      size against that capture, so a buffer swap (realloc or
-      revocation) racing the scan fails validation instead of faulting;
-      [f] must be pure and total on arbitrary word contents. *)
-
-  val write_coalesced :
-    t -> max_pending:int -> max_staleness:int -> src:int array -> len:int -> unit
-
-  val flush_coalesced : t -> unit
-  val pending_writes : t -> int
-  val coalesced_batches : t -> int
-  val coalesced_absorbed : t -> int
-  val max_coalesced_batch : t -> int
-  (** Write coalescing — see {!Arc.Make.S.write_coalesced}: absorb up
-      to [max_pending] writes and publish the batch with one exchange
-      and one slot copy, under the declared [max_staleness] bound. *)
-
-  val footprint_words : t -> int
-  (** Total words currently allocated across all slot buffers. *)
-
-  val reallocations : t -> int
-  (** Number of buffer replacements performed by writes so far. *)
-
-  val reclaim_stale : t -> lease:int -> int
-  (** [reclaim_stale t ~lease] revokes the storage of every slot that
-      was superseded more than [lease] writes ago and is still pinned
-      by reader presence — the signature of a crashed or stalled
-      reader.  Returns the number of slots revoked by this call.
-      Writer-thread only (it is part of the writer's side of the
-      protocol).
-      @raise Invalid_argument if [lease < 0]. *)
-
-  val set_lease : t -> int option -> unit
-  (** [set_lease t (Some l)] makes every [l]-th write run
-      [reclaim_stale ~lease:l] automatically; [None] (the default)
-      disables auto-reclaim.  Writer-thread only.
-      @raise Invalid_argument if [l < 1]. *)
-
-  val reclaimed : t -> int
-  (** Total slots whose storage has been revoked so far. *)
-
-  val live_buffers : t -> int
-  (** Slots currently holding non-empty storage — the dynamic
-      variant's footprint in {e slots} rather than words.  With
-      reclaim active this must stay within N + 2 for the {e admitted}
-      reader population N, however many readers have come and gone;
-      the churn soak (ISSUE 8) tracks it against the admission gate's
-      capacity. *)
-
-  (** White-box invariant surface, identical to {!Arc.Make.Debug} —
-      the soak's presence audit and the gate-bypass control are
-      written against it.  Test/audit use only. *)
-  module Debug : sig
-    val slots : t -> int
-    val current : t -> int
-    val r_start : t -> int -> int
-    val r_end : t -> int -> int
-    val slot_size : t -> int -> int
-
-    val slot_seq : t -> int -> int
-    val slot_seq_end : t -> int -> int
-    (** The R2' begin/end publish stamps — see {!Arc.Make.S.Debug}. *)
-
-    val unvalidated_plain : reader -> f:(Mem.buffer -> int -> 'a) -> 'a
-    (** Negative control: the R2' scan without stamp validation — see
-        {!Arc.Make.S.Debug}.  Never use outside tests. *)
-
-    val presence_slack : t -> int
-    (** readers − (frozen presence + live count); 0 in any quiescent
-        uncorrupted state, in [0, crashed readers] under crash-stop
-        faults, negative only if presence was double-released — the
-        gate-bypass control's conviction signal. *)
-
-    val presence_bound_holds : t -> bool
-
-    val force_current : t -> int -> unit
-    (** Test-only: overwrite the synchronization word (e.g. to plant
-        the count at the saturation boundary). *)
-
-    val free_slot_exists : t -> bool
-  end
-
-  (** {2 Telemetry} — same wait-free host-heap design as
-      {!Arc.Make}: plain per-identity counter cells (no substrate
-      operations, no vsched scheduling points, no RMW on the fast
-      path) plus a bounded transition trace that additionally records
-      reallocations and stale-slot reclaims. *)
-
-  type telemetry
-
-  val make_telemetry :
-    ?ring:int -> ?clock:(unit -> int) -> readers:int -> unit -> telemetry
-
-  val set_telemetry : t -> telemetry option -> unit
-  (** Attach {e before} creating reader handles (handles resolve their
-      cells at creation). *)
-
-  val telemetry : t -> telemetry option
-  val fast_reads : telemetry -> int
-  val slow_reads : telemetry -> int
-  val hint_hits : telemetry -> int
-  val plain_reads : telemetry -> int
-  val plain_fallbacks : telemetry -> int
-  val metrics : t -> Arc_obs.Obs.metric list
-  val trace : t -> Arc_obs.Ring.entry list
-end
+module Make (M : Arc_mem.Mem_intf.S) : Arc.S with module Mem = M

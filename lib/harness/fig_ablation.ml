@@ -7,11 +7,11 @@ module Table = Arc_report.Table
 module Arc_direct = Arc_core.Arc.Make (Arc_mem.Real_mem)
 module P_direct = Arc_workload.Payload.Make (Arc_mem.Real_mem)
 
-let probes_per_write ~use_hint ~readers ~writes =
+let probes_per_write ~policy ~readers ~writes =
   let capacity = 16 in
   let init = Array.make capacity 0 in
   P_direct.stamp init ~seq:0 ~len:capacity;
-  let reg = Arc_direct.create_with ~use_hint ~readers ~capacity ~init in
+  let reg = Arc_direct.create_with policy ~readers ~capacity ~init in
   let handles = Array.init readers (Arc_direct.reader reg) in
   let src = Array.make capacity 0 in
   (* Park all but one reader on distinct old snapshots. *)
@@ -53,15 +53,18 @@ let ablation_hint (opts : Grid.opts) =
   List.iter
     (fun readers ->
       List.iter
-        (fun (label, use_hint, tp) ->
+        (fun (label, policy, tp) ->
           Table.add_row table
             [
               label;
               string_of_int readers;
-              Printf.sprintf "%.2f" (probes_per_write ~use_hint ~readers ~writes:500);
+              Printf.sprintf "%.2f" (probes_per_write ~policy ~readers ~writes:500);
               Printf.sprintf "%.3g" tp;
             ])
-        [ ("arc (hint)", true, tp_hint); ("arc-nohint", false, tp_nohint) ])
+        [
+          ("arc (hint)", Arc_core.Arc.Fixed, tp_hint);
+          ("arc-nohint", Arc_core.Arc.Fixed_no_hint, tp_nohint);
+        ])
     readerss;
   table
 

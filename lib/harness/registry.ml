@@ -44,15 +44,14 @@ module Entry_of (A : Arc_core.Register_intf.ALGORITHM) = struct
     }
 end
 
-(* Telemetry-capable sim runners for the ARC family.  [Entry_of] sees
+(* Telemetry-capable sim runner for the ARC family.  [Entry_of] sees
    registers only through {!Arc_core.Register_intf.S}, which has no
-   observability surface; these concrete instantiations expose the
-   full [Arc.Make]/[Arc_dynamic.Make] signature, attach a telemetry
-   handle before the fibers start (clocked by the virtual scheduler,
-   so trace timestamps are simulated time), and return the run's
-   metric snapshot alongside the result. *)
-module Arc_tel = struct
-  module R = Arc_core.Arc.Make (Sim)
+   observability surface; this one takes the full {!Arc_core.Arc.S}
+   signature, attaches a telemetry handle before the fibers start
+   (clocked by the virtual scheduler, so trace timestamps are
+   simulated time), and returns the run's metric snapshot alongside
+   the result. *)
+module Tel_of (R : Arc_core.Arc.S) = struct
   module Run = Sim_runner.Make (R)
 
   let run ?strategy (cfg : Config.sim) =
@@ -71,25 +70,11 @@ module Arc_tel = struct
     (r, metrics)
 end
 
-module Arc_dynamic_tel = struct
-  module R = Arc_core.Arc_dynamic.Make (Sim)
-  module Run = Sim_runner.Make (R)
-
-  let run ?strategy (cfg : Config.sim) =
-    let attached = ref None in
-    let prepare reg =
-      R.set_telemetry reg
-        (Some
-           (R.make_telemetry ~clock:Arc_vsched.Sched.now
-              ~readers:cfg.Config.sim_readers ()));
-      attached := Some reg
-    in
-    let r = Run.run ~prepare ?strategy cfg in
-    let metrics =
-      match !attached with Some reg -> R.metrics reg | None -> []
-    in
-    (r, metrics)
-end
+module Arc_sim = Arc_core.Arc.Make (Sim)
+module Arc_nohint_sim = Arc_core.Arc_nohint.Make (Sim)
+module Arc_dynamic_sim = Arc_core.Arc_dynamic.Make (Sim)
+module Arc_tel = Tel_of (Arc_sim)
+module Arc_dynamic_tel = Tel_of (Arc_dynamic_sim)
 
 (* Fabric runners for the stamped family (ISSUE 6).  Like telemetry,
    the versioned-read surface ([read_stamped]/[probe_stamp]) is wider
@@ -97,10 +82,9 @@ end
    they are instantiated per stamped algorithm and advertised through
    the [snapshot_read] capability bit — consumers discover them with
    {!fabric_capable}, never by name. *)
-module Arc_nohint_sim = Arc_core.Arc_nohint.Make (Sim)
-module Arc_fab = Fabric_runner.Make (Arc_tel.R)
+module Arc_fab = Fabric_runner.Make (Arc_sim)
 module Arc_nohint_fab = Fabric_runner.Make (Arc_nohint_sim)
-module Arc_dynamic_fab = Fabric_runner.Make (Arc_dynamic_tel.R)
+module Arc_dynamic_fab = Fabric_runner.Make (Arc_dynamic_sim)
 
 module Arc_entry = Entry_of (Arc_core.Arc)
 module Arc_nohint_entry = Entry_of (Arc_core.Arc_nohint)

@@ -55,8 +55,9 @@ let clear t =
 
 (* {1 Transition codes}
 
-   Shared vocabulary for [Arc], [Arc_dynamic], and the resilience
-   layer, so one dump interleaves events from every subsystem. *)
+   Shared vocabulary for [Arc] (every storage policy) and the
+   resilience layer, so one dump interleaves events from every
+   subsystem. *)
 
 let code_slot_claim = 1 (* W1: find_free picked slot [a] (hint hit iff b=1) *)
 let code_publish = 2 (* W2: slot [a] published over displaced slot [b] *)

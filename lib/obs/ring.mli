@@ -33,9 +33,9 @@ val dump : t -> entry list
 
 val clear : t -> unit
 
-(** {1 Transition codes} — shared vocabulary across [Arc],
-    [Arc_dynamic], and the resilience layer.  The [a]/[b]/[c] operands
-    per code are documented in [ring.ml]. *)
+(** {1 Transition codes} — shared vocabulary across [Arc] (every
+    storage policy) and the resilience layer.  The [a]/[b]/[c]
+    operands per code are documented in [ring.ml]. *)
 
 val code_slot_claim : int
 val code_publish : int

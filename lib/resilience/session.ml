@@ -2,9 +2,9 @@
 
    A session wraps one reader handle with the full degradation stack:
    bounded retry with jittered exponential backoff on
-   {!Arc_core.Register_intf.Saturated} (the typed error both [Arc] and
-   [Arc_dynamic] raise from a read path that trips a capacity or
-   revocation defense guard), a per-register circuit breaker, and a
+   {!Arc_core.Register_intf.Saturated} (the typed error [Arc] raises,
+   under every storage policy, from a read path that trips a capacity
+   or revocation defense guard), a per-register circuit breaker, and a
    last-known-good snapshot served — with its age — when live reads
    are unavailable.  The caller gets a typed {!outcome} instead of an
    exception through the hot path, and a degraded serve always

@@ -11,6 +11,10 @@ end
 
 type instance = (module INSTANCE)
 
+(* A mapping's arena is sized once, so only fixed storage fits it. *)
+let policy use_hint =
+  if use_hint then Arc_core.Arc.Fixed else Arc_core.Arc.Fixed_no_hint
+
 let create ?(use_hint = true) m ~readers ~capacity ~init =
   (match Shm_mem.geometry m with
   | Some _ ->
@@ -20,7 +24,7 @@ let create ?(use_hint = true) m ~readers ~capacity ~init =
   | None -> ());
   let module M = (val Shm_mem.mem m) in
   let module R = Arc_core.Arc.Make (M) in
-  let reg = R.create_with ~use_hint ~readers ~capacity ~init in
+  let reg = R.create_with (policy use_hint) ~readers ~capacity ~init in
   Shm_mem.set_geometry m ~readers ~capacity;
   (module struct
     module M = M
@@ -73,7 +77,8 @@ let create_fabric ?(use_hint = true) m ~shards ~readers ~capacity ~init =
      mapping ordinals [s·nslots, (s+1)·nslots) — the contract
      {!Shm_mem.recover_shard} scopes its scan by. *)
   let regs =
-    Array.init shards (fun _ -> R.create_with ~use_hint ~readers ~capacity ~init)
+    Array.init shards (fun _ ->
+        R.create_with (policy use_hint) ~readers ~capacity ~init)
   in
   ignore (Shm_mem.alloc_reign_table m ~shards);
   Shm_mem.set_geometry m ~readers ~capacity;

@@ -129,7 +129,7 @@ let attach ~path =
      rejected without a single table byte being interpreted. *)
   let reign = unsafe_get m L.sb_reign in
   if reign <> 0 then begin
-    if reign < L.super_words || reign + 3 > cursor then
+    if reign < L.super_words || reign > cursor - 3 then
       fail "%s: reign table pointer %d out of range" path reign;
     if unsafe_get m (reign + L.rec_tag) <> L.tag_reign then
       fail "%s: reign table pointer %d does not name a reign record" path reign;
@@ -138,7 +138,7 @@ let attach ~path =
     if
       shards < 1
       || reign_slot_at reign shards <> reign + size
-      || reign + size > cursor
+      || size > cursor - reign
     then fail "%s: truncated reign table (%d shards in %d words)" path shards size
   end;
   m
@@ -438,7 +438,10 @@ let walk m ~cell ~buffer ~raw =
         let base = !pos in
         let tag = unsafe_get m (base + L.rec_tag) in
         let size = unsafe_get m (base + L.rec_size) in
-        if size < 2 || base + size > cursor then
+        (* [size > cursor - base], not [base + size > cursor]: a
+           corrupt size near [max_int] would wrap the sum negative,
+           pass the check and send [pos] backwards. *)
+        if size < 2 || size > cursor - base then
           raise
             (Stop
                (Printf.sprintf "corrupt record at word %d (size %d)" base size));

@@ -26,4 +26,4 @@ val guard_count : who:string -> bound:int -> int -> unit
     wrap that already happened: the increment carried out of the count
     field) or [c > bound] (this increment consumed the head-room unit
     above the documented capacity); otherwise returns unit.  The exact
-    post-increment check both [Arc] and [Arc_dynamic] run after R4. *)
+    post-increment check [Arc] runs after R4. *)

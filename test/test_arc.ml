@@ -128,10 +128,10 @@ let test_first_read_is_fast_path () =
 let test_hint_gives_constant_probes () =
   (* E5's claim: with the §3.4 hint, write-side slot probes stay O(1)
      per write even with parked readers; without it they grow. *)
-  let probes_with (use_hint : bool) =
+  let probes_with policy =
     let readers = 16 in
     let init = stamped ~seq:0 ~len:4 in
-    let reg = Arc.create_with ~use_hint ~readers ~capacity:4 ~init in
+    let reg = Arc.create_with policy ~readers ~capacity:4 ~init in
     let handles = Array.init readers (Arc.reader reg) in
     (* Park every reader on a distinct old slot: each write is
        followed by one reader subscribing and never moving. *)
@@ -147,8 +147,8 @@ let test_hint_gives_constant_probes () =
     done;
     float_of_int (Arc.write_probes reg - before) /. 200.
   in
-  let hinted = probes_with true in
-  let unhinted = probes_with false in
+  let hinted = probes_with Arc_core.Arc.Fixed in
+  let unhinted = probes_with Arc_core.Arc.Fixed_no_hint in
   Alcotest.(check bool)
     (Printf.sprintf "hinted probes/write %.2f below unhinted %.2f" hinted unhinted)
     true

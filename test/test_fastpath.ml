@@ -181,12 +181,14 @@ let sim_reads = 20
    register returned.  Returns (fallbacks, plain_reads, convictions):
    a conviction is a {e returned} torn value — f itself may observe
    torn words mid-scan, that is the seqlock discipline, but a torn
-   result must never escape a validated read. *)
-let run_plain_schedule ?(strategy = fun seed -> Strategy.random ~seed) ~seed ~read ()
-    =
+   result must never escape a validated read.  [check_order:false] is
+   for the unvalidated control: out-of-order results are its expected
+   misbehaviour, and it is judged by torn results alone. *)
+let run_plain_schedule ?(strategy = fun seed -> Strategy.random ~seed)
+    ?(policy = Arc_core.Arc.Fixed) ?(check_order = true) ~seed ~read () =
   let init = Array.make sim_words 0 in
   P.stamp init ~seq:0 ~len:sim_words;
-  let reg = As.create ~readers:2 ~capacity:sim_words ~init in
+  let reg = As.create_with policy ~readers:2 ~capacity:sim_words ~init in
   As.set_telemetry reg (Some (As.make_telemetry ~readers:2 ()));
   let convictions = ref 0 in
   let writer () =
@@ -202,7 +204,7 @@ let run_plain_schedule ?(strategy = fun seed -> Strategy.random ~seed) ~seed ~re
     for _ = 1 to sim_reads do
       match read rd with
       | Ok s ->
-        if s < !last then
+        if check_order && s < !last then
           Alcotest.failf "seed %d: new-old inversion %d -> %d" seed !last s;
         last := s
       | Error _ -> incr convictions
@@ -212,7 +214,7 @@ let run_plain_schedule ?(strategy = fun seed -> Strategy.random ~seed) ~seed ~re
   let tel = Option.get (As.telemetry reg) in
   (As.plain_fallbacks tel, As.plain_reads tel, !convictions)
 
-let test_plain_fallback_under_schedules () =
+let test_plain_fallback_under_schedules ?policy () =
   let total_fallbacks = ref 0 and total_plain = ref 0 in
   let strategies =
     [ (fun seed -> Strategy.random ~seed);
@@ -226,7 +228,7 @@ let test_plain_fallback_under_schedules () =
     (fun strategy ->
       for seed = 0 to seeds - 1 do
         let fallbacks, plain, convictions =
-          run_plain_schedule ~strategy ~seed
+          run_plain_schedule ~strategy ?policy ~seed
             ~read:(fun rd ->
               As.read_plain rd ~f:(fun buf len -> Ps.validate buf ~len))
             ()
@@ -247,7 +249,7 @@ let test_plain_fallback_under_schedules () =
     (Printf.sprintf "validated plain reads driven (%d)" !total_plain)
     true (!total_plain > 0)
 
-let test_unvalidated_plain_convicted () =
+let test_unvalidated_plain_convicted ?policy () =
   (* Negative control: the same scan with validation removed must be
      convicted as torn by the stamped payload under some schedule —
      this is what proves the begin/end stamps are load-bearing. *)
@@ -264,7 +266,7 @@ let test_unvalidated_plain_convicted () =
   let convicted = ref 0 in
   for seed = 0 to seeds - 1 do
     let _, _, convictions =
-      run_plain_schedule ~strategy:burst ~seed
+      run_plain_schedule ~strategy:burst ?policy ~check_order:false ~seed
         ~read:(fun rd ->
           As.Debug.unvalidated_plain rd ~f:(fun buf len -> Ps.validate buf ~len))
         ()
@@ -308,6 +310,10 @@ let suite =
       test_plain_fallback_under_schedules;
     Alcotest.test_case "unvalidated control convicted" `Quick
       test_unvalidated_plain_convicted;
+    Alcotest.test_case "fallback under schedules (sized storage)" `Quick
+      (test_plain_fallback_under_schedules ~policy:Arc_core.Arc.Sized);
+    Alcotest.test_case "unvalidated control convicted (sized storage)" `Quick
+      (test_unvalidated_plain_convicted ~policy:Arc_core.Arc.Sized);
     Alcotest.test_case "seqlock torn size retries" `Quick
       test_seqlock_torn_size_is_a_retry;
   ]

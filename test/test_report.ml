@@ -91,26 +91,6 @@ let suite =
     Alcotest.test_case "chart empty" `Quick test_chart_empty;
   ]
 
-(* --- markdown rendering ---------------------------------------------- *)
-
-let test_markdown_table () =
-  let t = Table.create ~title:"m" ~columns:[ "a"; "b" ] in
-  Table.add_row t [ "1"; "x|y" ];
-  let md = Arc_report.Markdown.of_table t in
-  let lines = String.split_on_char '\n' md in
-  Alcotest.(check bool) "title bold" true (List.exists (( = ) "**m**") lines);
-  Alcotest.(check bool) "header row" true (List.exists (( = ) "| a | b |") lines);
-  Alcotest.(check bool) "rule row" true (List.exists (( = ) "| --- | --- |") lines);
-  Alcotest.(check bool) "pipe escaped" true
-    (List.exists (( = ) "| 1 | x\\|y |") lines)
-
-let test_markdown_series () =
-  let s = Series.create ~title:"fig" ~x_label:"threads" in
-  Series.add s ~series:"arc" ~x:2. ~y:10.;
-  let md = Arc_report.Markdown.of_series s in
-  Alcotest.(check bool) "contains data row" true
-    (List.exists (( = ) "| 2 | 10 |") (String.split_on_char '\n' md))
-
 let test_table_accessors () =
   let t = Table.create ~title:"acc" ~columns:[ "x" ] in
   Table.add_row t [ "r1" ];
@@ -144,8 +124,6 @@ let test_replay_render () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "markdown table" `Quick test_markdown_table;
-      Alcotest.test_case "markdown series" `Quick test_markdown_series;
       Alcotest.test_case "table accessors" `Quick test_table_accessors;
       Alcotest.test_case "replay-command rendering" `Quick test_replay_render;
     ]

@@ -185,6 +185,26 @@ let test_convicts_stale_layout_version () =
           S.close m';
           Alcotest.fail "attach must reject a version-skewed mapping")
 
+(* A record-size word near [max_int] once wrapped the walk's
+   [base + size] bound negative: the corrupt record passed, the walk
+   cursor went backwards and recovery escaped as an untyped
+   [Invalid_argument].  Recovery is total: any size word must end in a
+   typed [Error]. *)
+let test_huge_record_size_is_typed () =
+  List.iter
+    (fun size ->
+      with_register (fun _path m _inst ->
+          let b = newest_buffer m in
+          S.unsafe_set m (b.base + L.rec_size) size;
+          match S.recover m with
+          | Error _ -> ()
+          | Ok _ ->
+              Alcotest.failf "record size %d must convict the mapping" size
+          | exception e ->
+              Alcotest.failf "record size %d escaped recovery as %s" size
+                (Printexc.to_string e)))
+    [ max_int; max_int - 1; max_int - L.buf_header; min_int ]
+
 let test_election_word_durable () =
   (* The election word lives in the superblock: a CAS through one
      mapping is visible through a second, independent mapping of the
@@ -377,6 +397,20 @@ let test_fabric_truncated_table () =
           S.close m';
           Alcotest.fail "attach must reject a truncated reign table")
 
+(* The attach-side twin of the walk overflow: a reign pointer near
+   [max_int] wrapped [reign + 3 > cursor] and the table read indexed
+   out of bounds.  [attach] must refuse with its typed [Failure]. *)
+let test_fabric_huge_reign_pointer () =
+  with_fabric (fun path m _finst ->
+      S.unsafe_set m L.sb_reign (max_int - 1);
+      match S.attach ~path with
+      | exception Failure _ -> ()
+      | exception e ->
+          Alcotest.failf "attach escaped as %s" (Printexc.to_string e)
+      | m' ->
+          S.close m';
+          Alcotest.fail "attach must reject an out-of-range reign pointer")
+
 let test_recover_shard_scoped () =
   with_fabric (fun _path m finst ->
       let nslots =
@@ -450,6 +484,8 @@ let suite =
       test_convicts_stale_superblock;
     Alcotest.test_case "control: stale layout version convicted" `Quick
       test_convicts_stale_layout_version;
+    Alcotest.test_case "control: huge record size is a typed Error" `Quick
+      test_huge_record_size_is_typed;
     Alcotest.test_case "election word durable across mappings" `Quick
       test_election_word_durable;
     Alcotest.test_case "control: clean mapping not convicted" `Quick
@@ -466,6 +502,8 @@ let suite =
       `Quick test_fabric_stale_layout;
     Alcotest.test_case "fabric control: truncated reign table rejected" `Quick
       test_fabric_truncated_table;
+    Alcotest.test_case "fabric control: huge reign pointer rejected" `Quick
+      test_fabric_huge_reign_pointer;
     Alcotest.test_case "fabric: shard-scoped recovery" `Quick
       test_recover_shard_scoped;
     Alcotest.test_case "fabric: recover_shard refusals" `Quick
