@@ -239,8 +239,9 @@ let mrmw_tests =
    heap, same geometry: the delta is the durability tax — C-stub
    atomics instead of [Atomic], plus the publish trailer (sequence
    bracket + checksum over the payload) on every write.  Reads carry
-   no trailer work, so read-hit should be near-identical; write pays
-   roughly one extra payload scan. *)
+   no trailer work, so read-hit should be near-identical; the shm
+   write's copy also runs the checksum's serial multiply chain, where
+   the heap write is a plain memmove. *)
 
 let shm_ops ~size =
   let path = Filename.temp_file "arc_bench_shm" ".reg" in
@@ -263,7 +264,7 @@ let shm_ops ~size =
       try Sys.remove path with Sys_error _ -> ());
   (read_hit, write, write_read)
 
-let shm_sizes = [ ("4KB", 512); ("32KB", 4096) ]
+let shm_sizes = [ ("4KB", 512); ("32KB", 4096); ("128KB", 16384) ]
 
 let shm_tests =
   List.concat_map
@@ -546,23 +547,36 @@ let emit_throughput_json path =
 (* --- machine-readable substrate snapshot (BENCH_shm.json) ------------ *)
 
 (* Per-op latencies of the same register over both substrates, so the
-   durability tax is a number the perf trajectory tracks across PRs. *)
+   durability tax is a number the perf trajectory tracks across PRs.
+   Each size also gets a heap [copy] row: one [Real_mem.write_words]
+   of a prepared source into a major-heap buffer, in ns per word — the
+   perf gate holds the 4KB row under {!Arc_gate.Gate.copy_ceiling}, so
+   a payload copy that slides back onto the GC write barrier fails. *)
+
+let copy_ns_per_word ~size =
+  let buf = Arc_mem.Real_mem.alloc size and src = stamped ~seq:1 ~len:size in
+  measure_ns (fun () -> Arc_mem.Real_mem.write_words buf ~src ~len:size)
+  /. float_of_int size
 
 let emit_shm_json path =
   let records =
     List.concat_map
       (fun (size_name, size) ->
         let substrates = [ ("heap", Arc_ops.make ~size); ("shm", shm_ops ~size) ] in
-        List.concat_map
-          (fun (substrate, (read_hit, write, write_read)) ->
-            List.map
-              (fun (op, f) ->
-                Printf.sprintf
-                  "    {\"substrate\": %S, \"op\": %S, \"size\": %S, \
-                   \"size_words\": %d, \"median_ns_per_op\": %.1f}"
-                  substrate op size_name size (measure_ns f))
-              [ ("read-hit", read_hit); ("write", write); ("write+read", write_read) ])
-          substrates)
+        Printf.sprintf
+          "    {\"substrate\": \"heap\", \"op\": \"copy\", \"size\": %S, \
+           \"size_words\": %d, \"copy_ns_per_word\": %.3f}"
+          size_name size (copy_ns_per_word ~size)
+        :: List.concat_map
+             (fun (substrate, (read_hit, write, write_read)) ->
+               List.map
+                 (fun (op, f) ->
+                   Printf.sprintf
+                     "    {\"substrate\": %S, \"op\": %S, \"size\": %S, \
+                      \"size_words\": %d, \"median_ns_per_op\": %.1f}"
+                     substrate op size_name size (measure_ns f))
+                 [ ("read-hit", read_hit); ("write", write); ("write+read", write_read) ])
+             substrates)
       shm_sizes
   in
   let oc = open_out path in

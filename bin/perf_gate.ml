@@ -14,6 +14,11 @@
                        the fast path exists to beat);
    - snapshot_ns_per_shard and reader_join_p99_ns when their bench
      files / fields are present (ISSUEs 6 and 8);
+   - copy_ns_per_word of the 4KB heap copy row in the BENCH_shm.json
+     beside the --bench file (`bench/main.exe --shm-json`), when that
+     file exists: held under the absolute 1.0 ns/word ceiling
+     (Gate.copy_ceiling), so a payload copy that falls back onto the
+     GC write barrier fails;
    - read_hit_ns@N / read_plain_ns@N for every core count N found in
      a BENCH_scaling.json (bench/main.exe --scaling-json --cores ...),
      so CI enforces scaling, not just single-core cost (ISSUE 10).
@@ -64,9 +69,11 @@ let run bench fabric_bench scaling_bench trajectory threshold ceiling label =
       exit 2
   in
   let prior = Option.bind (read_opt trajectory) last_nonempty_line in
+  let shm_bench = Filename.concat (Filename.dirname bench) "BENCH_shm.json" in
   let result =
     Gate.evaluate ~bench:bench_s ?fabric:(read_opt fabric_bench)
-      ?scaling:(read_opt scaling_bench) ?prior ~threshold ~ceiling ~label
+      ?scaling:(read_opt scaling_bench) ?shm:(read_opt shm_bench) ?prior
+      ~threshold ~ceiling ~label
       ~date:(iso_date ()) ()
   in
   match result with

@@ -876,7 +876,7 @@ module Make (M : Arc_mem.Mem_intf.S) = struct
     if len < 0 || len > Array.length src then
       invalid_arg "Arc.write_coalesced: bad length";
     if len > reg.capacity then invalid_arg "Arc.write_coalesced: exceeds capacity";
-    Array.blit src 0 reg.co_buf 0 len;
+    Arc_mem.Words.blit src 0 reg.co_buf 0 len;
     reg.co_len <- len;
     reg.co_pending <- reg.co_pending + 1;
     reg.co_absorbed <- reg.co_absorbed + 1;

@@ -49,6 +49,19 @@ let keys_with_prefix ~prefix s =
   done;
   List.rev !acc
 
+let copy_ceiling = 1.0
+let copy_row = "\"substrate\": \"heap\", \"op\": \"copy\", \"size\": \"4KB\""
+
+let copy_ns_per_word shm =
+  let rlen = String.length copy_row and slen = String.length shm in
+  let rec find i =
+    if i + rlen > slen then None
+    else if String.sub shm i rlen = copy_row then
+      field_of ~key:"copy_ns_per_word" (String.sub shm i (slen - i))
+    else find (i + 1)
+  in
+  find 0
+
 type verdict =
   | Within of { metric : string; value : float; baseline : float; limit : float }
   | Regression of { metric : string; value : float; baseline : float; limit : float }
@@ -79,7 +92,8 @@ type report = {
   seeded : bool;
 }
 
-let evaluate ~bench ?fabric ?scaling ?prior ~threshold ?ceiling ~label ~date () =
+let evaluate ~bench ?fabric ?scaling ?shm ?prior ~threshold ?ceiling ~label ~date
+    () =
   let missing file key =
     Error
       (Printf.sprintf "%s has no \"%s\" field — was it written by bench/main.exe?" file
@@ -103,6 +117,14 @@ let evaluate ~bench ?fabric ?scaling ?prior ~threshold ?ceiling ~label ~date () 
       match field_of ~key:"snapshot_ns_per_shard" s with
       | Some v -> Ok (Some v)
       | None -> missing "fabric bench" "snapshot_ns_per_shard")
+  in
+  let* copy =
+    match shm with
+    | None -> Ok None
+    | Some s -> (
+      match copy_ns_per_word s with
+      | Some v -> Ok (Some v)
+      | None -> missing "shm bench" "copy_ns_per_word (heap, 4KB)")
   in
   (* Scaling metrics are discovered, not hard-coded: whatever core
      counts the matrix measured are tracked and gated per count. *)
@@ -147,15 +169,19 @@ let evaluate ~bench ?fabric ?scaling ?prior ~threshold ?ceiling ~label ~date () 
       else Within { metric; value; baseline; limit }
   in
   let trajectory_verdicts = List.map gate tracked in
-  (* The absolute bound: the R2' validated plain load exists to beat
-     the classic read path's historical cost — enforced against the
-     fixed ceiling, not just against drift. *)
+  (* The absolute bounds: the R2' validated plain load exists to beat
+     the classic read path's historical cost, and the heap payload
+     copy must stay a memmove — both enforced against fixed ceilings,
+     not just against drift. *)
+  let bound metric ceiling value =
+    if value < ceiling then Ceiling_ok { metric; value; ceiling }
+    else Ceiling_exceeded { metric; value; ceiling }
+  in
   let ceiling_verdicts =
-    match (ceiling, plain) with
-    | Some c, Some v ->
-      [ (if v < c then Ceiling_ok { metric = "read_plain_ns"; value = v; ceiling = c }
-         else Ceiling_exceeded { metric = "read_plain_ns"; value = v; ceiling = c }) ]
-    | _ -> []
+    (match (ceiling, plain) with
+    | Some c, Some v -> [ bound "read_plain_ns" c v ]
+    | _ -> [])
+    @ Option.to_list (Option.map (bound "copy_ns_per_word@4KB" copy_ceiling) copy)
   in
   let verdicts = trajectory_verdicts @ ceiling_verdicts in
   let compared =

@@ -22,6 +22,13 @@ val keys_with_prefix : prefix:string -> string -> string list
     occurrence — how the gate discovers which core counts a scaling
     bench measured ([read_hit_ns@2], [read_hit_ns@4], ...). *)
 
+val copy_ceiling : float
+(** 1.0 ns per word: the absolute bound on the 4KB heap payload copy
+    ([copy_ns_per_word] of the heap [copy] row in BENCH_shm.json).  A
+    memmove copy measures about 0.1 ns/word and the GC-barrier
+    [Array.blit] path 2–6, so the bound judges the code, not the
+    runner. *)
+
 type verdict =
   | Within of { metric : string; value : float; baseline : float; limit : float }
       (** Compared against the trajectory and inside the budget. *)
@@ -33,7 +40,8 @@ type verdict =
   | Ceiling_exceeded of { metric : string; value : float; ceiling : float }
       (** Absolute-bound checks (trajectory-independent): the R2'
           plain-load read must stay below the pre-R2' classic-path
-          cost it exists to beat. *)
+          cost it exists to beat, and the heap payload copy below
+          {!copy_ceiling}. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -54,6 +62,7 @@ val evaluate :
   bench:string ->
   ?fabric:string ->
   ?scaling:string ->
+  ?shm:string ->
   ?prior:string ->
   threshold:float ->
   ?ceiling:float ->
@@ -61,8 +70,8 @@ val evaluate :
   date:string ->
   unit ->
   (report, string) result
-(** [evaluate ~bench ?fabric ?scaling ?prior ~threshold ?ceiling ~label
-    ~date ()] judges one gate invocation.
+(** [evaluate ~bench ?fabric ?scaling ?shm ?prior ~threshold ?ceiling
+    ~label ~date ()] judges one gate invocation.
 
     [bench] is the full BENCH_arc.json text (must carry
     [read_hit_ns_off], [read_hit_ns_on], [overhead_pct]; optionally
@@ -70,8 +79,10 @@ val evaluate :
     BENCH_fabric.json when present ([snapshot_ns_per_shard] required
     in it).  [scaling] is BENCH_scaling.json when present; every
     [read_hit_ns@N] / [read_plain_ns@N] key found is tracked and
-    gated per core count.  [prior] is the last non-empty trajectory
-    line, if any.  [threshold] is the allowed regression in percent;
-    [ceiling] the absolute bound on [read_plain_ns].
+    gated per core count.  [shm] is BENCH_shm.json when present; its
+    4KB heap copy row is required and held under {!copy_ceiling}.
+    [prior] is the last non-empty trajectory line, if any.
+    [threshold] is the allowed regression in percent; [ceiling] the
+    absolute bound on [read_plain_ns].
 
     [Error msg] means malformed input (missing required field). *)

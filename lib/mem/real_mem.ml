@@ -55,26 +55,15 @@ let alloc words =
 
 let capacity = Array.length
 
-(* Bulk operations: one [Array.blit] (memmove over unboxed words)
-   rather than a per-word loop, so a register write's content copy
-   runs at memcpy speed and touches each destination cache line
-   once. *)
-let write_words buf ~src ~len =
-  if len < 0 || len > Array.length src || len > Array.length buf then
-    invalid_arg "Real_mem.write_words: bad length";
-  Array.blit src 0 buf 0 len
-
+(* Bulk operations: one {!Words.blit} (a memmove), so a register
+   write's content copy runs at memcpy speed and touches each
+   destination cache line once.  [Array.blit] would pay a
+   [caml_modify] per word here, since slot buffers live in the major
+   heap. *)
+let write_words buf ~src ~len = Words.blit src 0 buf 0 len
 let read_word = Array.get
-
-let read_words buf ~dst ~len =
-  if len < 0 || len > Array.length dst || len > Array.length buf then
-    invalid_arg "Real_mem.read_words: bad length";
-  Array.blit buf 0 dst 0 len
-
-let blit src dst ~len =
-  if len < 0 || len > Array.length src || len > Array.length dst then
-    invalid_arg "Real_mem.blit: bad length";
-  Array.blit src 0 dst 0 len
+let read_words buf ~dst ~len = Words.blit buf 0 dst 0 len
+let blit src dst ~len = Words.blit src 0 dst 0 len
 
 (* Spin-loop hint on real hardware (the x86 pause instruction). *)
 let cede () = Domain.cpu_relax ()

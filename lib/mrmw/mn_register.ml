@@ -49,7 +49,7 @@ module Make (A : Arc_core.Register_intf.ALGORITHM) (M : Arc_mem.Mem_intf.S) = st
     | _ -> ());
     let sub_init = Array.make (header + Array.length init) 0 in
     (* ts = 0, writer id 0: everyone agrees on the initial value. *)
-    Array.blit init 0 sub_init header (Array.length init);
+    Arc_mem.Words.blit init 0 sub_init header (Array.length init);
     let subs =
       Array.init writers (fun _ ->
           R.create ~readers:sub_readers ~capacity:(capacity + header) ~init:sub_init)
@@ -93,7 +93,7 @@ module Make (A : Arc_core.Register_intf.ALGORITHM) (M : Arc_mem.Mem_intf.S) = st
     let ts = !max_ts + 1 in
     w.buf.(0) <- ts;
     w.buf.(1) <- w.id;
-    Array.blit src 0 w.buf header len;
+    Arc_mem.Words.blit src 0 w.buf header len;
     R.write w.reg.subs.(w.id) ~src:w.buf ~len:(header + len);
     w.own_ts <- ts
 
@@ -131,7 +131,7 @@ module Make (A : Arc_core.Register_intf.ALGORITHM) (M : Arc_mem.Mem_intf.S) = st
   let finish rd ~dst =
     if Array.length dst < rd.scratch_len then
       invalid_arg "Mn_register.read_into: dst too short";
-    Array.blit rd.scratch 0 dst 0 rd.scratch_len;
+    Arc_mem.Words.blit rd.scratch 0 dst 0 rd.scratch_len;
     rd.scratch_len
 
   let read_into rd ~dst =

@@ -30,7 +30,9 @@ external atomic_fetch_or_idx : words -> int -> int -> int = "arc_shm_fetch_or"
 external atomic_fetch_and_idx : words -> int -> int -> int = "arc_shm_fetch_and"
 [@@noalloc]
 
-external copy_in : words -> int -> int array -> int -> unit
+(* [copy_in ba off src len acc] also folds the copied words into the
+   checksum accumulator [acc] and returns the result. *)
+external copy_in : words -> int -> int array -> int -> int -> int
   = "arc_shm_write_words"
 [@@noalloc]
 
@@ -316,13 +318,6 @@ let alloc_reign_table m ~shards =
 let cksum_header len epoch seq =
   L.cksum_mix (L.cksum_mix (L.cksum_mix L.cksum_seed len) epoch) seq
 
-let cksum_of_src src len epoch seq =
-  let c = ref (cksum_header len epoch seq) in
-  for i = 0 to len - 1 do
-    c := L.cksum_mix !c src.(i)
-  done;
-  !c
-
 let cksum_of_mapping m base len epoch seq =
   let c = ref (cksum_header len epoch seq) in
   for i = 0 to len - 1 do
@@ -356,6 +351,12 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
     let alloc words = alloc_buffer m words
     let capacity b = unsafe_get m (b + L.buf_cap)
 
+    (* The copy stubs index the mapping unchecked, and [capacity b] is
+       a word of the file: a payload range must also lie inside the
+       mapping itself. *)
+    let bad_range b len =
+      len < 0 || len > capacity b || len > m.words - (b + L.buf_header)
+
     (* The durability protocol: every multi-word store is bracketed by
        a publish-sequence stamp ([buf_begin] before the copy,
        [buf_end] after) and covered by a checksum, so a recovering
@@ -365,21 +366,23 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
        process loses no executed stores — the pages stay in the page
        cache — it only stops executing. *)
     let write_words b ~src ~len =
-      if len < 0 || len > Array.length src || len > capacity b then
+      if bad_range b len || len > Array.length src then
         invalid_arg "Shm_mem.write_words: bad length";
       let seq = 1 + atomic_fetch_add_idx m.ba L.sb_publish 1 in
       let epoch = atomic_load_idx m.ba L.sb_epoch in
       atomic_store_idx m.ba (b + L.buf_epoch) epoch;
       atomic_store_idx m.ba (b + L.buf_begin) seq;
       atomic_store_idx m.ba (b + L.buf_len) len;
-      copy_in m.ba (b + L.buf_header) src len;
-      atomic_store_idx m.ba (b + L.buf_cksum) (cksum_of_src src len epoch seq);
+      let cksum =
+        copy_in m.ba (b + L.buf_header) src len (cksum_header len epoch seq)
+      in
+      atomic_store_idx m.ba (b + L.buf_cksum) cksum;
       atomic_store_idx m.ba (b + L.buf_end) seq
 
     let read_word b i = unsafe_get m (b + L.buf_header + i)
 
     let read_words b ~dst ~len =
-      if len < 0 || len > Array.length dst || len > capacity b then
+      if bad_range b len || len > Array.length dst then
         invalid_arg "Shm_mem.read_words: bad length";
       copy_out m.ba (b + L.buf_header) dst len
 
@@ -388,7 +391,7 @@ let mem m : (module Arc_mem.Mem_intf.S with type atomic = int) =
        [recover] — the integrity layer covers the register's
        write path, which never blits. *)
     let blit src dst ~len =
-      if len < 0 || len > capacity src || len > capacity dst then
+      if bad_range src len || bad_range dst len then
         invalid_arg "Shm_mem.blit: bad length";
       blit_idx m.ba (src + L.buf_header) (dst + L.buf_header) len
 
@@ -450,12 +453,25 @@ let walk m ~cell ~buffer ~raw =
           incr cells
         end
         else if tag = L.tag_buffer then begin
+          (* [classify] bounds a payload by [buf_cap]: it must be the
+             record's own extent, which the cursor check above bounds. *)
+          let cap =
+            if size < L.buf_header then -1 else unsafe_get m (base + L.buf_cap)
+          in
+          if cap <> size - L.buf_header then
+            raise
+              (Stop
+                 (Printf.sprintf "corrupt buffer at word %d (capacity %d, size %d)"
+                    base cap size));
           buffer ~ordinal:!buffers ~base;
           incr buffers
         end
         else if tag = L.tag_raw then raw base
         else if tag = L.tag_reign then begin
-          let shards = unsafe_get m (base + L.reign_nshards) in
+          let shards =
+            if size <= L.reign_nshards then 0
+            else unsafe_get m (base + L.reign_nshards)
+          in
           if shards < 1 || reign_slot_at base shards <> base + size then
             raise
               (Stop

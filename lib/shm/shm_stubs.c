@@ -81,18 +81,33 @@ CAMLprim value arc_shm_fetch_and(value ba, value idx, value v)
 /* Bulk word copies between OCaml [int array]s (tagged words) and the
  * mapping (untagged words).  A register write's single content copy
  * runs as one C loop — memcpy cannot be used directly because the
- * representations differ by the tag bit, but the loop vectorizes and
- * touches each destination cache line once, preserving Real_mem's
- * bulk-operation cost model.  Plain (non-atomic) accesses: buffer
- * words are the paper's multi-word data, ordered by the RELEASE/RMW
- * publication protocol, not individually synchronized. */
+ * representations differ by the tag bit, but the loop touches each
+ * destination cache line once, preserving Real_mem's bulk-operation
+ * cost model.  Plain (non-atomic) accesses: buffer words are the
+ * paper's multi-word data, ordered by the RELEASE/RMW publication
+ * protocol, not individually synchronized.  Offsets and lengths are
+ * checked on the OCaml side (Shm_mem.mem). */
 
-CAMLprim value arc_shm_write_words(value ba, value off, value src, value len)
+/* Shm_layout.cksum_prime. */
+#define ARC_CKSUM_PRIME ((uintnat) 0x100000001b3)
+
+/* The write copy also runs the checksum chain Shm_layout.cksum_mix
+ * ([acc] = (acc lxor w) * prime) over the words it copies, starting
+ * from [acc], so the payload is scanned once.  Unsigned arithmetic
+ * wraps without undefined behaviour, and its low 63 bits — all that
+ * Val_long keeps — are exactly OCaml's 63-bit result. */
+CAMLprim value arc_shm_write_words(value ba, value off, value src, value len,
+                                   value acc)
 {
   intnat *dst = cell(ba, off);
   intnat n = Long_val(len);
-  for (intnat i = 0; i < n; i++) dst[i] = Long_val(Field(src, i));
-  return Val_unit;
+  uintnat c = (uintnat) Long_val(acc);
+  for (intnat i = 0; i < n; i++) {
+    intnat w = Long_val(Field(src, i));
+    dst[i] = w;
+    c = (c ^ (uintnat) w) * ARC_CKSUM_PRIME;
+  }
+  return Val_long((intnat) c);
 }
 
 CAMLprim value arc_shm_read_words(value ba, value off, value dst, value len)

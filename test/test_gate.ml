@@ -23,9 +23,9 @@ let scaling =
   \  \"read_hit_ns@4\": 11.0, \"read_plain_ns@4\": 7.0,\n\
   \  \"results\": [{\"cores\": 2, \"read_hit_ns\": 10.0}] }"
 
-let evaluate ?fabric ?scaling ?prior ?(ceiling = 9.8) b =
+let evaluate ?fabric ?scaling ?shm ?prior ?(ceiling = 9.8) b =
   match
-    G.evaluate ~bench:b ?fabric ?scaling ?prior ~threshold:20. ~ceiling
+    G.evaluate ~bench:b ?fabric ?scaling ?shm ?prior ~threshold:20. ~ceiling
       ~label:"test" ~date:"2026-01-01T00:00:00Z" ()
   with
   | Ok r -> r
@@ -79,6 +79,50 @@ let test_plain_ceiling_enforced () =
   Alcotest.(check bool) "under ceiling passes" true
     (count (function G.Ceiling_ok _ -> true | _ -> false) ok = 1)
 
+(* The shape bench/main.exe --shm-json writes: the 4KB heap copy row
+   follows a 4KB shm row and precedes the larger sizes' copy rows. *)
+let shm_bench copy_4k =
+  Printf.sprintf
+    "{\n\
+    \  \"results\": [\n\
+    \    {\"substrate\": \"shm\", \"op\": \"write\", \"size\": \"4KB\", \"size_words\": \
+     512, \"median_ns_per_op\": 900.0},\n\
+    \    {\"substrate\": \"heap\", \"op\": \"copy\", \"size\": \"4KB\", \"size_words\": \
+     512, \"copy_ns_per_word\": %.3f},\n\
+    \    {\"substrate\": \"heap\", \"op\": \"copy\", \"size\": \"32KB\", \"size_words\": \
+     4096, \"copy_ns_per_word\": 7.000}\n\
+    \  ]\n\
+     }"
+    copy_4k
+
+let test_copy_ceiling () =
+  (* The heap payload copy is held under an absolute bound: 0.10
+     ns/word is a memmove, 2.32 the per-word GC-barrier path. *)
+  let is_copy metric = metric = "copy_ns_per_word@4KB" in
+  let ok = evaluate ~shm:(shm_bench 0.10) (bench ()) in
+  Alcotest.(check int) "memmove copy passes" 0 ok.G.failures;
+  Alcotest.(check bool) "copy ceiling ok verdict on the 4KB row" true
+    (count
+       (function
+         | G.Ceiling_ok { metric; value; _ } -> is_copy metric && value = 0.10
+         | _ -> false)
+       ok
+    = 1);
+  let slow = evaluate ~shm:(shm_bench 2.32) (bench ()) in
+  Alcotest.(check int) "barrier-path copy fails" 1 slow.G.failures;
+  Alcotest.(check bool) "copy ceiling exceeded verdict" true
+    (count
+       (function G.Ceiling_exceeded { metric; _ } -> is_copy metric | _ -> false)
+       slow
+    = 1);
+  Alcotest.(check bool) "no shm bench, no copy verdict" true
+    (count
+       (function
+         | G.Ceiling_ok { metric; _ } | G.Ceiling_exceeded { metric; _ } -> is_copy metric
+         | _ -> false)
+       (evaluate (bench ()))
+    = 0)
+
 let test_scaling_keys_discovered_and_gated () =
   let r = evaluate ~scaling (bench ()) in
   (* Discovery: every read_hit_ns@N / read_plain_ns@N key is tracked
@@ -101,11 +145,17 @@ let test_malformed_inputs_rejected () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bench without required fields must be rejected");
-  match
+  (match
     G.evaluate ~bench:(bench ()) ~fabric:"{}" ~threshold:20. ~label:"x" ~date:"d" ()
   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "fabric file without snapshot_ns_per_shard must be rejected"
+  | Ok _ -> Alcotest.fail "fabric file without snapshot_ns_per_shard must be rejected");
+  match
+    G.evaluate ~bench:(bench ()) ~shm:"{\"results\": []}" ~threshold:20. ~label:"x"
+      ~date:"d" ()
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "shm file without the 4KB heap copy row must be rejected"
 
 let suite =
   [
@@ -115,6 +165,7 @@ let suite =
       test_prior_entry_arms_the_gate;
     Alcotest.test_case "regression detected" `Quick test_regression_detected;
     Alcotest.test_case "plain-read ceiling" `Quick test_plain_ceiling_enforced;
+    Alcotest.test_case "heap copy ceiling" `Quick test_copy_ceiling;
     Alcotest.test_case "scaling keys discovered" `Quick
       test_scaling_keys_discovered_and_gated;
     Alcotest.test_case "malformed inputs rejected" `Quick

@@ -225,6 +225,80 @@ let test_arc_fast_path_rmw_free () =
   let after = (Counting.counts ()).Intf.rmw in
   check "10 fast-path reads, 0 RMWs" 0 (after - before)
 
+(* {1 The payload-copy primitive} *)
+
+module Words = Arc_mem.Words
+
+let test_words_invalid () =
+  (* Every bad argument raises before a single word moves. *)
+  let src = Array.init 8 (fun i -> i + 1) in
+  let dst = Array.make 8 0 in
+  List.iter
+    (fun (what, src_pos, dst_pos, len) ->
+      (match Words.blit src src_pos dst dst_pos len with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected Invalid_argument" what);
+      Alcotest.(check (array int)) (what ^ ": nothing copied") (Array.make 8 0) dst)
+    [
+      ("negative length", 0, 0, -1);
+      ("negative src offset", -1, 0, 2);
+      ("negative dst offset", 0, -1, 2);
+      ("past the source", 4, 0, 5);
+      ("past the destination", 0, 6, 3);
+      ("longer than both", 0, 0, 9);
+      ("src offset past the end", 9, 0, 0);
+      ("dst offset past the end", 0, 9, 0);
+      ("offset overflow", max_int, 0, 1);
+    ]
+
+let test_words_overlap () =
+  (* Same-array copies behave as memmove, i.e. as Array.blit. *)
+  List.iter
+    (fun (what, src_pos, dst_pos, len) ->
+      let mine = Array.init 16 (fun i -> 100 + i) in
+      let theirs = Array.copy mine in
+      Words.blit mine src_pos mine dst_pos len;
+      Array.blit theirs src_pos theirs dst_pos len;
+      Alcotest.(check (array int)) what theirs mine)
+    [
+      ("forward overlap", 0, 3, 10);
+      ("backward overlap", 3, 0, 10);
+      ("in place", 2, 2, 9);
+      ("adjacent", 0, 8, 8);
+    ]
+
+let test_words_empty () =
+  Words.blit [||] 0 [||] 0 0;
+  let a = [| 1; 2 |] in
+  Words.blit [||] 0 a 2 0;
+  Alcotest.(check (array int)) "len 0 into a full array" [| 1; 2 |] a
+
+let prop_words_matches_array_blit =
+  QCheck.Test.make ~name:"Words.blit matches Array.blit" ~count:1000
+    QCheck.(
+      quad
+        (pair (list_of_size Gen.(0 -- 40) int) (list_of_size Gen.(0 -- 40) int))
+        (int_range (-2) 42) (int_range (-2) 42) (int_range (-2) 42))
+    (fun ((xs, ys), src_pos, dst_pos, len) ->
+      let src = Array.of_list xs in
+      let mine = Array.of_list ys and theirs = Array.of_list ys in
+      let outcome f = match f () with () -> true | exception Invalid_argument _ -> false in
+      let ok_mine = outcome (fun () -> Words.blit src src_pos mine dst_pos len) in
+      let ok_theirs = outcome (fun () -> Array.blit src src_pos theirs dst_pos len) in
+      ok_mine = ok_theirs && mine = theirs)
+
+let test_words_survives_gc () =
+  (* The copy bypasses caml_modify; the destination must still be an
+     ordinary major-heap block the collector can move and scan. *)
+  let n = 4096 in
+  let dst = Array.make n 0 in
+  Gc.full_major ();
+  let src = Array.init n (fun i -> (i * 7919) lxor min_int) in
+  Words.blit src 0 dst 0 n;
+  Gc.compact ();
+  Gc.full_major ();
+  Alcotest.(check (array int)) "contents intact after compact + full_major" src dst
+
 let prop_exchange_sequence =
   QCheck.Test.make ~name:"exchange chains return previous values" ~count:200
     QCheck.(small_list int)
@@ -250,6 +324,11 @@ let suite =
     Alcotest.test_case "counting reset" `Quick test_counting_reset;
     Alcotest.test_case "counts across domains" `Quick test_counts_across_domains;
     Alcotest.test_case "real atomics parallel" `Quick test_real_atomics_parallel;
+    Alcotest.test_case "words: invalid arguments copy nothing" `Quick test_words_invalid;
+    Alcotest.test_case "words: overlap matches Array.blit" `Quick test_words_overlap;
+    Alcotest.test_case "words: len 0 on empty arrays" `Quick test_words_empty;
+    QCheck_alcotest.to_alcotest prop_words_matches_array_blit;
+    Alcotest.test_case "words: contents survive compaction" `Quick test_words_survives_gc;
     Alcotest.test_case "bulk edges (real)" `Quick Real_edges.run;
     Alcotest.test_case "bulk edges (counting)" `Quick Counting_edges.run;
     Alcotest.test_case "bulk edges (sim)" `Quick Sim_edges.run;

@@ -205,6 +205,103 @@ let test_huge_record_size_is_typed () =
                 (Printexc.to_string e)))
     [ max_int; max_int - 1; max_int - L.buf_header; min_int ]
 
+let test_corrupt_buffer_capacity_is_typed () =
+  (* A buffer record whose [buf_cap] disagrees with its record size
+     used to bound [classify]'s checksum scan by the corrupt value, so
+     both recovery and [read_latest] indexed past the mapping. *)
+  List.iter
+    (fun (cap, len) ->
+      with_register (fun _path m _inst ->
+          let b = newest_buffer m in
+          S.unsafe_set m (b.base + L.buf_cap) cap;
+          S.unsafe_set m (b.base + L.buf_len) len;
+          (match S.read_latest m with
+          | None -> ()
+          | Some (_, payload) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "cap %d: read_latest returns a valid payload" cap)
+                true
+                (Result.is_ok
+                   (Payload.validate_words payload ~len:(Array.length payload)))
+          | exception Failure _ -> () (* documented: damaged arena *)
+          | exception e ->
+              Alcotest.failf "cap %d, len %d: read_latest escaped as %s" cap len
+                (Printexc.to_string e));
+          match S.recover m with
+          | Error _ -> ()
+          | Ok r ->
+              if not (List.exists (fun (c : S.conviction) -> c.at = b.base) r.convicted)
+              then Alcotest.failf "cap %d, len %d: corrupt buffer accepted" cap len
+          | exception e ->
+              Alcotest.failf "cap %d, len %d: recovery escaped as %s" cap len
+                (Printexc.to_string e)))
+    [ (max_int, 1 lsl 20); (1 lsl 20, 1 lsl 20); (max_int, max_int) ]
+
+let test_copy_range_checked_against_mapping () =
+  (* The copy stubs trust their offsets; a corrupt [buf_cap] must not
+     let a payload copy run past the end of the mapping. *)
+  let words = 1 lsl 12 in
+  with_mapping ~words (fun _path m ->
+      let module M = (val S.mem m) in
+      let b = M.alloc 8 and b' = M.alloc 8 in
+      S.iter_buffers m (fun i -> S.unsafe_set m (i.S.base + L.buf_cap) max_int);
+      let big = Array.make words 0 in
+      let refused what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s past the mapping was not refused" what
+      in
+      refused "write_words" (fun () -> M.write_words b ~src:big ~len:words);
+      refused "read_words" (fun () -> M.read_words b ~dst:big ~len:words);
+      refused "blit" (fun () -> M.blit b b' ~len:words);
+      M.write_words b ~src:[| 1; 2; 3 |] ~len:3;
+      M.read_words b ~dst:big ~len:3;
+      Alcotest.(check (array int)) "in-range copies still work" [| 1; 2; 3 |]
+        (Array.sub big 0 3))
+
+let test_fused_checksum () =
+  (* The write stub folds the checksum while it copies; it must equal
+     the OCaml fold of Shm_layout.cksum_mix over (len, epoch, seq,
+     payload), and recovery (which re-derives it from the mapping)
+     must find the buffer intact. *)
+  let reference ~len ~epoch ~seq src =
+    let c = ref L.cksum_seed in
+    List.iter (fun w -> c := L.cksum_mix !c w) [ len; epoch; seq ];
+    for i = 0 to len - 1 do
+      c := L.cksum_mix !c src.(i)
+    done;
+    !c
+  in
+  let rng = Random.State.make [| 13 |] in
+  let extremes = [| min_int; max_int; -1; 0 |] in
+  let word i =
+    if i mod 5 = 0 then extremes.(Random.State.int rng 4)
+    else Random.State.bits rng lxor (Random.State.bits rng lsl 30)
+         lxor (Random.State.bits rng lsl 60)
+  in
+  List.iter
+    (fun len ->
+      for trial = 1 to 5 do
+        with_mapping ~words:(1 lsl 13) (fun _path m ->
+            let module M = (val S.mem m) in
+            let b = M.alloc len in
+            let src = Array.init len word in
+            M.write_words b ~src ~len;
+            let infos = ref [] in
+            S.iter_buffers m (fun i -> infos := i :: !infos);
+            let i = match !infos with [ i ] -> i | _ -> Alcotest.fail "one buffer" in
+            Alcotest.(check int)
+              (Printf.sprintf "len %d trial %d: stub checksum = OCaml fold" len trial)
+              (reference ~len ~epoch:i.S.bepoch ~seq:i.S.begin_seq src)
+              i.S.cksum;
+            match S.recover m with
+            | Ok r ->
+                Alcotest.(check int) "recovery re-derives the same checksum" 0
+                  (List.length r.convicted)
+            | Error e -> Alcotest.failf "recovery failed: %s" e)
+      done)
+    [ 0; 1; 8; 4096 ]
+
 let test_election_word_durable () =
   (* The election word lives in the superblock: a CAS through one
      mapping is visible through a second, independent mapping of the
@@ -486,6 +583,12 @@ let suite =
       test_convicts_stale_layout_version;
     Alcotest.test_case "control: huge record size is a typed Error" `Quick
       test_huge_record_size_is_typed;
+    Alcotest.test_case "control: corrupt buffer capacity is typed" `Quick
+      test_corrupt_buffer_capacity_is_typed;
+    Alcotest.test_case "control: copies stay inside the mapping" `Quick
+      test_copy_range_checked_against_mapping;
+    Alcotest.test_case "fused write checksum matches the OCaml fold" `Quick
+      test_fused_checksum;
     Alcotest.test_case "election word durable across mappings" `Quick
       test_election_word_durable;
     Alcotest.test_case "control: clean mapping not convicted" `Quick

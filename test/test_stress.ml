@@ -94,6 +94,57 @@ let test_hold_throughput_sane () =
         Alcotest.failf "%s: inconsistent throughput" name)
     [ "arc"; "rf"; "peterson"; "rwlock"; "seqlock" ]
 
+module Arc_real = Arc_core.Arc.Make (Arc_mem.Real_mem)
+module P_real = Arc_workload.Payload.Make (Arc_mem.Real_mem)
+
+let test_plain_reads_real_writer () =
+  (* R' plain reads against a real writer Domain whose slot fill is a
+     memmove: the scan may read a slot mid-copy, and only the seq
+     bracket stands between a torn view and the caller.  [f] runs on
+     every view, torn or not; what must never happen is a torn value
+     being returned.  The hardware counterpart of the vsched
+     [unvalidated_plain] control. *)
+  let words = 512 in
+  let init = Array.make words 0 in
+  P_real.stamp init ~seq:0 ~len:words;
+  let reg = Arc_real.create ~readers:1 ~capacity:words ~init in
+  let tel = Arc_real.make_telemetry ~readers:1 () in
+  Arc_real.set_telemetry reg (Some tel);
+  let rd = Arc_real.reader reg 0 in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let src = Array.make words 0 in
+        let seq = ref 0 in
+        while not (Atomic.get stop) do
+          incr seq;
+          P_real.stamp src ~seq:!seq ~len:words;
+          Arc_real.write reg ~src ~len:words
+        done;
+        !seq)
+  in
+  let f buf len = P_real.validate buf ~len in
+  let reads = ref 0 and torn = ref 0 and backwards = ref 0 and newest = ref 0 in
+  let deadline = Unix.gettimeofday () +. 0.2 in
+  while Unix.gettimeofday () < deadline do
+    let r =
+      if !reads land 1 = 0 then Arc_real.read_plain rd ~f else Arc_real.read_with rd ~f
+    in
+    incr reads;
+    match r with
+    | Error _ -> incr torn
+    | Ok seq ->
+        if seq < !newest then incr backwards;
+        newest := max !newest seq
+  done;
+  Atomic.set stop true;
+  let writes = Domain.join writer in
+  Printf.printf "reads=%d writes=%d newest=%d plain_reads=%d plain_fallbacks=%d\n%!"
+    !reads writes !newest (Arc_real.plain_reads tel) (Arc_real.plain_fallbacks tel);
+  Alcotest.(check int) "no torn value returned" 0 !torn;
+  Alcotest.(check int) "never older than a value already seen" 0 !backwards;
+  Alcotest.(check bool) "the reader observed a new seq" true (!newest > 0)
+
 let suite =
   List.map domain_case Registry.all
   @ List.map thread_case [ Registry.find "arc"; Registry.find "peterson" ]
@@ -102,4 +153,6 @@ let suite =
         test_steal_mode_still_atomic;
       Alcotest.test_case "hold throughput accounting" `Quick
         test_hold_throughput_sane;
+      Alcotest.test_case "R' plain reads under a real writer Domain" `Quick
+        test_plain_reads_real_writer;
     ]
